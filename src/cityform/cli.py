@@ -7,8 +7,9 @@ Coordinates are selected with ``--mode {geo,planar}``; the feature-set
 choice (baseline vs enhanced) uses ``--feature-mode`` to avoid clashing
 with the coordinate flag.
 
-All artifacts are plain CSV/JSON and are byte-identical across runs with
-the same configuration and inputs.
+Every run subcommand writes a subset of the ``pipeline`` artifacts through
+the one runner, ``run_pipeline``. All artifacts are plain CSV/JSON and are
+byte-identical across runs with the same configuration and inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -27,33 +29,27 @@ from .errors import CityformError, DataError, ValidationError
 from .features import (
     DEFAULT_DOMINANT_THRESHOLD,
     FEATURE_MODES,
+    METRIC_COLUMNS,
+    PATTERN_COLUMNS,
     CityMetrics,
     assemble_features,
     bearing_histogram,
     drop_features,
+    metric_values,
+    pattern_values,
     pearson_report,
     zscore,
 )
-from .geometry import DEFAULT_TAU_DEG, PATTERN_TYPES, node_patterns, pattern_counts
+from .geometry import DEFAULT_TAU_DEG, node_patterns, pattern_counts
 from .graph import CityNetwork, clip_to_city, load_boundaries, load_graph
 from .reduction import extract_factors
 from .synth import ARCHETYPES, city_boundary, corpus_specs, generate
-from .topology import DEGREE_CLASSES, topo_metrics
+from .topology import topo_metrics
 
 _MODE_NAMES = {"geo": "geographic", "planar": "planar"}
 
-METRICS_HEADER = (
-    ["city"]
-    + [f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CLASSES]
-    + ["median_bc", "link_node_ratio", "density_km_per_km2", "mean_link_length_m", "pct_in_ne_out"]
-)
-PATTERNS_HEADER = (
-    ["city"]
-    + [f"d3_t{t}" for t in PATTERN_TYPES]
-    + ["d3_other"]
-    + [f"d4_t{t}" for t in PATTERN_TYPES]
-    + ["d4_other"]
-)
+METRICS_HEADER = ["city", *METRIC_COLUMNS]
+PATTERNS_HEADER = ["city", *PATTERN_COLUMNS]
 
 PIPELINE_ARTIFACTS = (
     "metrics.csv",
@@ -66,6 +62,16 @@ PIPELINE_ARTIFACTS = (
     "elbow.csv",
     "bearing_histograms.json",
 )
+
+# What each run subcommand writes; ``patterns --detail`` adds patterns_detail.csv.
+COMMAND_ARTIFACTS = {
+    "ingest": ("cities_summary.csv",),
+    "metrics": ("metrics.csv",),
+    "patterns": ("patterns.csv",),
+    "features": ("features.csv", "correlations.csv"),
+    "cluster": ("factors.json", "clusters.csv", "evaluation.json", "elbow.csv"),
+    "pipeline": PIPELINE_ARTIFACTS + ("run_manifest.json",),
+}
 
 
 @dataclass
@@ -85,6 +91,12 @@ class RunConfig:
     factors_override: int | None = None
     drop: tuple[str, ...] = ()
     corr_threshold: float = 0.9
+
+    def __post_init__(self) -> None:
+        # Command lines and manifests hand these over as lists.
+        self.drop = tuple(self.drop)
+        if self.k_range is not None:
+            self.k_range = tuple(self.k_range)
 
     def validate(self) -> None:
         for label, path in (
@@ -114,15 +126,11 @@ class RunConfig:
 
 def config_from_manifest(manifest: dict) -> RunConfig:
     """Rebuild the RunConfig recorded by a previous pipeline run."""
-    raw = dict(manifest["config"])
-    if raw.get("k_range") is not None:
-        raw["k_range"] = tuple(raw["k_range"])
-    raw["drop"] = tuple(raw.get("drop", ()))
-    return RunConfig(**raw)
+    return RunConfig(**manifest["config"])
 
 
 # ---------------------------------------------------------------------------
-# Artifact writers
+# Stages and artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -149,183 +157,183 @@ def _finite_or_none(value: float | None) -> float | None:
     return float(value)
 
 
-# ---------------------------------------------------------------------------
-# Shared stages
-# ---------------------------------------------------------------------------
+class _Run:
+    """The stage results of one run, each computed the first time it is needed."""
 
+    def __init__(self, config: RunConfig):
+        self.config = config
 
-def _load_cities(nodes: str, links: str, boundaries: str, mode: str) -> list[CityNetwork]:
-    graph = load_graph(nodes, links, mode)
-    cities = []
-    for boundary in load_boundaries(boundaries):
-        city = clip_to_city(graph, boundary)
-        if city.is_empty:
-            print(
-                f"warning: city {city.city_name!r} has no nodes inside its boundary; skipped",
-                file=sys.stderr,
+    @cached_property
+    def cities(self) -> list[CityNetwork]:
+        config = self.config
+        graph = load_graph(config.nodes_path, config.links_path, config.mode)
+        cities = []
+        for boundary in load_boundaries(config.boundaries_path):
+            city = clip_to_city(graph, boundary)
+            if city.is_empty:
+                print(
+                    f"warning: city {city.city_name!r} has no nodes inside its boundary; skipped",
+                    file=sys.stderr,
+                )
+                continue
+            cities.append(city)
+        if not cities:
+            raise DataError("no non-empty cities after clipping")
+        return cities
+
+    @cached_property
+    def topo(self):
+        return [topo_metrics(city) for city in self.cities]
+
+    @cached_property
+    def patterns(self):
+        return [pattern_counts(city, self.config.tau) for city in self.cities]
+
+    @cached_property
+    def bearings(self):
+        return [bearing_histogram(city, self.config.dominant_threshold) for city in self.cities]
+
+    @cached_property
+    def matrix(self):
+        bundles = [
+            CityMetrics(city.city_name, topo, patterns, bearings)
+            for city, topo, patterns, bearings in zip(
+                self.cities, self.topo, self.patterns, self.bearings
             )
-            continue
-        cities.append(city)
-    if not cities:
-        raise DataError("no non-empty cities after clipping")
-    return cities
-
-
-def _metrics_row(city: CityNetwork, topo) -> list:
-    profile = topo.degree_profile
-    return (
-        [city.city_name]
-        + [profile.proportions_out[c] for c in DEGREE_CLASSES]
-        + [
-            topo.centrality.median_normalized_bc,
-            topo.link_node_ratio,
-            topo.network_density_km_per_km2,
-            topo.mean_link_length_m,
-            profile.pct_nodes_in_ne_out,
         ]
-    )
+        matrix = assemble_features(bundles, self.config.feature_mode)
+        return drop_features(matrix, self.config.drop) if self.config.drop else matrix
+
+    @cached_property
+    def factors(self):
+        return extract_factors(zscore(self.matrix), self.config.factors_override)
+
+    @cached_property
+    def clustering(self):
+        config, n_cities = self.config, len(self.cities)
+        if config.k > n_cities:
+            raise ValidationError(f"k={config.k} exceeds the {n_cities} available cities")
+        return kmeans(self.factors.scores, config.k, seed=config.seed, restarts=config.restarts)
 
 
-def _patterns_row(city: CityNetwork, counts) -> list:
-    return (
-        [city.city_name]
-        + [counts.d3_props[t] for t in PATTERN_TYPES]
-        + [counts.d3_props["other"]]
-        + [counts.d4_props[t] for t in PATTERN_TYPES]
-        + [counts.d4_props["other"]]
-    )
+def _named_rows(cities, values, columns) -> list[list]:
+    return [[city.city_name] + [named[c] for c in columns] for city, named in zip(cities, values)]
 
 
-def _compute_bundles(cities: list[CityNetwork], config: RunConfig) -> list[CityMetrics]:
-    return [
-        CityMetrics(
-            city_name=city.city_name,
-            topo=topo_metrics(city),
-            patterns=pattern_counts(city, config.tau),
-            bearings=bearing_histogram(city, config.dominant_threshold),
-        )
-        for city in cities
-    ]
+def _labelled_table(corner: str, columns, labels, values):
+    return [corner, *columns], [[label, *map(float, row)] for label, row in zip(labels, values)]
 
 
-def _feature_stage(bundles, config: RunConfig):
-    matrix = assemble_features(bundles, config.feature_mode)
-    if config.drop:
-        matrix = drop_features(matrix, config.drop)
-    return matrix
+def _correlations(run: _Run):
+    report = pearson_report(run.matrix, run.config.corr_threshold)
+    return _labelled_table("feature", report.feature_names, report.feature_names, report.matrix)
 
 
-def _cluster_stage(matrix, config: RunConfig, written: list[Path], out: Path) -> None:
-    normalized = zscore(matrix)
-    model = extract_factors(normalized, config.factors_override)
-    _write_json(
-        out / "factors.json",
-        {
-            "eigenvalues": list(model.eigenvalues),
-            "retained": model.retained,
-            "override": config.factors_override,
-            "warnings": list(model.warnings),
-            "feature_count": len(model.feature_names),
-        },
-        written,
-    )
-    n_cities = len(matrix.cities)
-    k = config.k
-    if k > n_cities:
-        raise ValidationError(f"k={k} exceeds the {n_cities} available cities")
-    result = kmeans(model.scores, k, seed=config.seed, restarts=config.restarts)
-    _write_csv(
-        out / "clusters.csv",
+def _elbow_rows(run: _Run) -> list[list]:
+    n_cities = len(run.cities)
+    lo, hi = run.config.k_range if run.config.k_range else (1, min(10, n_cities))
+    ks = range(lo, min(hi, n_cities) + 1)
+    curve = elbow(run.factors.scores, ks, seed=run.config.seed, restarts=run.config.restarts)
+    return [[k, inertia] for k, inertia in curve.entries]
+
+
+def _evaluation(run: _Run) -> dict:
+    result = run.clustering
+    return {
+        run.config.feature_mode: {
+            "k": result.k,
+            "seed": result.seed,
+            "restarts": result.restarts,
+            "inertia": result.inertia,
+            "silhouette": _finite_or_none(result.silhouette),
+            "davies_bouldin": _finite_or_none(result.davies_bouldin),
+            "degenerate_dbi": result.davies_bouldin is not None
+            and not math.isfinite(result.davies_bouldin),
+            "space": "factor_scores",
+        }
+    }
+
+
+# Each artifact's contents: (header, rows) for a CSV, the payload for JSON.
+_CONTENTS = {
+    "cities_summary.csv": lambda run: (
+        ["city", "nodes", "links", "area_km2"],
+        [[c.city_name, c.graph.node_count, c.graph.link_count, c.area_km2] for c in run.cities],
+    ),
+    "metrics.csv": lambda run: (
+        METRICS_HEADER,
+        _named_rows(run.cities, map(metric_values, run.topo), METRIC_COLUMNS),
+    ),
+    "patterns.csv": lambda run: (
+        PATTERNS_HEADER,
+        _named_rows(run.cities, map(pattern_values, run.patterns), PATTERN_COLUMNS),
+    ),
+    "patterns_detail.csv": lambda run: (
+        ["city", "node_id", "degree", "angles_sorted", "type"],
+        [
+            [city.city_name, p.node_id, p.degree, ";".join(map(str, sorted(p.angles))), p.type_code]
+            for city in run.cities
+            for p in node_patterns(city, run.config.tau)
+        ],
+    ),
+    "bearing_histograms.json": lambda run: {
+        city.city_name: {
+            "bins": list(h.bins),
+            "rotation_offset": h.rotation_offset,
+            "dominant_bin_count": h.dominant_bin_count,
+        }
+        for city, h in zip(run.cities, run.bearings)
+    },
+    "features.csv": lambda run: _labelled_table(
+        "city", run.matrix.feature_names, run.matrix.cities, run.matrix.values
+    ),
+    "correlations.csv": _correlations,
+    "factors.json": lambda run: {
+        "eigenvalues": list(run.factors.eigenvalues),
+        "retained": run.factors.retained,
+        "override": run.config.factors_override,
+        "warnings": list(run.factors.warnings),
+        "feature_count": len(run.factors.feature_names),
+    },
+    "clusters.csv": lambda run: (
         ["city", "label"],
-        [[name, int(label)] for name, label in zip(matrix.cities, result.labels)],
-        written,
-    )
-    dbi = _finite_or_none(result.davies_bouldin)
-    _write_json(
-        out / "evaluation.json",
-        {
-            config.feature_mode: {
-                "k": result.k,
-                "seed": result.seed,
-                "restarts": result.restarts,
-                "inertia": result.inertia,
-                "silhouette": _finite_or_none(result.silhouette),
-                "davies_bouldin": dbi,
-                "degenerate_dbi": result.davies_bouldin is not None
-                and not math.isfinite(result.davies_bouldin),
-                "space": "factor_scores",
-            }
-        },
-        written,
-    )
-    lo, hi = config.k_range if config.k_range else (1, min(10, n_cities))
-    hi = min(hi, n_cities)
-    curve = elbow(model.scores, range(lo, hi + 1), seed=config.seed, restarts=config.restarts)
-    _write_csv(out / "elbow.csv", ["k", "inertia"], [[k_, inertia] for k_, inertia in curve.entries], written)
+        [[name, int(label)] for name, label in zip(run.matrix.cities, run.clustering.labels)],
+    ),
+    "evaluation.json": _evaluation,
+    "elbow.csv": lambda run: (["k", "inertia"], _elbow_rows(run)),
+    "run_manifest.json": lambda run: {
+        "tool": "cityform",
+        "version": __version__,
+        "config": asdict(run.config),
+    },
+}
 
 
-def run_pipeline(config: RunConfig) -> dict:
-    """Run every stage and write all artifacts; clean up on failure."""
+def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> dict:
+    """Write the named artifacts, computing only the stages they need.
+
+    On any failure every file this call wrote is removed before the error
+    propagates.
+    """
     config.validate()
+    unknown = [name for name in artifacts if name not in _CONTENTS]
+    if unknown:
+        raise ValidationError(f"unknown artifacts: {unknown}")
+    run = _Run(config)
     out = Path(config.out_dir)
     written: list[Path] = []
     try:
-        cities = _load_cities(
-            config.nodes_path, config.links_path, config.boundaries_path, config.mode
-        )
-        bundles = _compute_bundles(cities, config)
-        _write_csv(
-            out / "metrics.csv",
-            METRICS_HEADER,
-            [_metrics_row(c, b.topo) for c, b in zip(cities, bundles)],
-            written,
-        )
-        _write_csv(
-            out / "patterns.csv",
-            PATTERNS_HEADER,
-            [_patterns_row(c, b.patterns) for c, b in zip(cities, bundles)],
-            written,
-        )
-        _write_json(
-            out / "bearing_histograms.json",
-            {
-                b.city_name: {
-                    "bins": list(b.bearings.bins),
-                    "rotation_offset": b.bearings.rotation_offset,
-                    "dominant_bin_count": b.bearings.dominant_bin_count,
-                }
-                for b in bundles
-            },
-            written,
-        )
-        matrix = _feature_stage(bundles, config)
-        _write_csv(
-            out / "features.csv",
-            ["city"] + list(matrix.feature_names),
-            [[name] + [float(v) for v in row] for name, row in zip(matrix.cities, matrix.values)],
-            written,
-        )
-        report = pearson_report(matrix, config.corr_threshold)
-        _write_csv(
-            out / "correlations.csv",
-            ["feature"] + list(report.feature_names),
-            [
-                [name] + [float(v) for v in row]
-                for name, row in zip(report.feature_names, report.matrix)
-            ],
-            written,
-        )
-        _cluster_stage(matrix, config, written, out)
-        manifest = {"tool": "cityform", "version": __version__, "config": asdict(config)}
-        if manifest["config"]["k_range"] is not None:
-            manifest["config"]["k_range"] = list(manifest["config"]["k_range"])
-        manifest["config"]["drop"] = list(manifest["config"]["drop"])
-        _write_json(out / "run_manifest.json", manifest, written)
+        for name in artifacts:
+            content = _CONTENTS[name](run)
+            if name.endswith(".csv"):
+                _write_csv(out / name, *content, written)
+            else:
+                _write_json(out / name, content, written)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return {"cities": len(cities), "artifacts": [p.name for p in written]}
+    return {"cities": len(run.cities), "artifacts": [p.name for p in written]}
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +413,16 @@ def write_corpus(
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+
+
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        nodes_path=args.nodes,
-        links_path=args.links,
-        boundaries_path=args.boundaries,
-        out_dir=args.out,
-        mode=_MODE_NAMES[args.mode],
-        feature_mode=getattr(args, "feature_mode", "enhanced"),
-        tau=args.tau,
-        dominant_threshold=getattr(args, "dominant_threshold", DEFAULT_DOMINANT_THRESHOLD),
-        k=getattr(args, "k", 3),
-        k_range=getattr(args, "k_range", None),
-        seed=getattr(args, "seed", 0),
-        restarts=getattr(args, "restarts", 10),
-        factors_override=getattr(args, "factors", None),
-        drop=tuple(getattr(args, "drop_features", None) or ()),
-        corr_threshold=getattr(args, "corr_threshold", 0.9),
-    )
+    # Run subcommands leave flags not given out of ``args``, so RunConfig's
+    # defaults are the only ones.
+    given = {name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
+    if "mode" in given:
+        given["mode"] = _MODE_NAMES[given["mode"]]
+    return RunConfig(**given)
 
 
 def _cmd_synth(args) -> None:
@@ -431,95 +431,9 @@ def _cmd_synth(args) -> None:
     print(f"wrote {len(names)} cities to {args.out}")
 
 
-def _cmd_ingest(args) -> None:
-    config = _config_from_args(args)
-    config.validate()
-    cities = _load_cities(config.nodes_path, config.links_path, config.boundaries_path, config.mode)
-    written: list[Path] = []
-    _write_csv(
-        Path(config.out_dir) / "cities_summary.csv",
-        ["city", "nodes", "links", "area_km2"],
-        [[c.city_name, c.graph.node_count, c.graph.link_count, c.area_km2] for c in cities],
-        written,
-    )
-    print(f"ingested {len(cities)} cities")
-
-
-def _cmd_metrics(args) -> None:
-    config = _config_from_args(args)
-    config.validate()
-    cities = _load_cities(config.nodes_path, config.links_path, config.boundaries_path, config.mode)
-    rows = [_metrics_row(city, topo_metrics(city)) for city in cities]
-    _write_csv(Path(config.out_dir) / "metrics.csv", METRICS_HEADER, rows, [])
-    print(f"wrote metrics for {len(cities)} cities")
-
-
-def _cmd_patterns(args) -> None:
-    config = _config_from_args(args)
-    config.validate()
-    cities = _load_cities(config.nodes_path, config.links_path, config.boundaries_path, config.mode)
-    rows = [_patterns_row(city, pattern_counts(city, config.tau)) for city in cities]
-    out = Path(config.out_dir)
-    _write_csv(out / "patterns.csv", PATTERNS_HEADER, rows, [])
-    if args.detail:
-        detail_rows = []
-        for city in cities:
-            for pattern in node_patterns(city, config.tau):
-                detail_rows.append(
-                    [
-                        city.city_name,
-                        pattern.node_id,
-                        pattern.degree,
-                        ";".join(str(a) for a in sorted(pattern.angles)),
-                        pattern.type_code,
-                    ]
-                )
-        _write_csv(
-            out / "patterns_detail.csv",
-            ["city", "node_id", "degree", "angles_sorted", "type"],
-            detail_rows,
-            [],
-        )
-    print(f"wrote patterns for {len(cities)} cities")
-
-
-def _cmd_features(args) -> None:
-    config = _config_from_args(args)
-    config.validate()
-    cities = _load_cities(config.nodes_path, config.links_path, config.boundaries_path, config.mode)
-    bundles = _compute_bundles(cities, config)
-    matrix = _feature_stage(bundles, config)
-    out = Path(config.out_dir)
-    _write_csv(
-        out / "features.csv",
-        ["city"] + list(matrix.feature_names),
-        [[name] + [float(v) for v in row] for name, row in zip(matrix.cities, matrix.values)],
-        [],
-    )
-    report = pearson_report(matrix, config.corr_threshold)
-    _write_csv(
-        out / "correlations.csv",
-        ["feature"] + list(report.feature_names),
-        [[name] + [float(v) for v in row] for name, row in zip(report.feature_names, report.matrix)],
-        [],
-    )
-    print(f"wrote {matrix.values.shape[0]}x{matrix.values.shape[1]} feature matrix")
-
-
-def _cmd_cluster(args) -> None:
-    config = _config_from_args(args)
-    config.validate()
-    cities = _load_cities(config.nodes_path, config.links_path, config.boundaries_path, config.mode)
-    bundles = _compute_bundles(cities, config)
-    matrix = _feature_stage(bundles, config)
-    _cluster_stage(matrix, config, [], Path(config.out_dir))
-    print(f"clustered {len(cities)} cities with k={config.k}")
-
-
-def _cmd_pipeline(args) -> None:
-    config = _config_from_args(args)
-    summary = run_pipeline(config)
-    print(f"pipeline complete: {summary['cities']} cities, {len(summary['artifacts'])} artifacts")
+def _cmd_run(args) -> None:
+    summary = run_pipeline(_config_from_args(args), args.artifacts)
+    print(f"{args.command}: {summary['cities']} cities, wrote {', '.join(summary['artifacts'])}")
 
 
 def _parse_k_range(raw: str) -> tuple[int, int]:
@@ -531,24 +445,47 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
 
 
 def _add_io_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", required=True, help="nodes CSV (node_id,x,y)")
-    parser.add_argument("--links", required=True, help="links CSV (link_id,from,to,length_m,shape_points)")
-    parser.add_argument("--boundaries", required=True, help="GeoJSON FeatureCollection of city boundaries")
-    parser.add_argument("--mode", choices=("geo", "planar"), default="planar", help="coordinate mode")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU_DEG, help="angle tolerance in degrees")
+    parser.add_argument("--nodes", dest="nodes_path", required=True, help="nodes CSV (node_id,x,y)")
+    parser.add_argument(
+        "--links", dest="links_path", required=True,
+        help="links CSV (link_id,from,to,length_m,shape_points)",
+    )
+    parser.add_argument(
+        "--boundaries", dest="boundaries_path", required=True,
+        help="GeoJSON FeatureCollection of city boundaries",
+    )
+    parser.add_argument("--mode", choices=("geo", "planar"), help="coordinate mode (default planar)")
+    parser.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    parser.add_argument("--tau", type=float, help="angle tolerance in degrees (default 10)")
+
+
+def _add_feature_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--feature-mode", choices=FEATURE_MODES)
+    parser.add_argument("--drop-features", dest="drop", nargs="*", help="feature columns to drop")
+    parser.add_argument("--corr-threshold", type=float)
+    parser.add_argument("--dominant-threshold", type=float)
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--feature-mode", choices=FEATURE_MODES, default="enhanced")
-    parser.add_argument("--drop-features", nargs="*", default=None, help="feature columns to drop")
-    parser.add_argument("--corr-threshold", type=float, default=0.9)
-    parser.add_argument("--dominant-threshold", type=float, default=DEFAULT_DOMINANT_THRESHOLD)
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--k-range", type=_parse_k_range, default=None, metavar="A..B")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--factors", type=int, default=None, help="override the Kaiser retention count")
+    _add_feature_args(parser)
+    parser.add_argument("--k", type=int)
+    parser.add_argument("--k-range", type=_parse_k_range, metavar="A..B")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument(
+        "--factors", dest="factors_override", type=int,
+        help="override the Kaiser retention count",
+    )
+
+
+_RUN_COMMANDS = (
+    ("ingest", "load, clip, and summarize cities", None),
+    ("metrics", "per-city topological metrics CSV", None),
+    ("patterns", "per-city intersection pattern CSV", None),
+    ("features", "assemble the feature matrix and correlations", _add_feature_args),
+    ("cluster", "factor extraction plus k-means evaluation", _add_cluster_args),
+    ("pipeline", "run every stage and write all artifacts", _add_cluster_args),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,37 +502,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", help="load, clip, and summarize cities")
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("metrics", help="per-city topological metrics CSV")
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("patterns", help="per-city intersection pattern CSV")
-    _add_io_args(p)
-    p.add_argument("--detail", action="store_true", help="also write per-node detail")
-    p.set_defaults(func=_cmd_patterns)
-
-    p = sub.add_parser("features", help="assemble the feature matrix and correlations")
-    _add_io_args(p)
-    p.add_argument("--feature-mode", choices=FEATURE_MODES, default="enhanced")
-    p.add_argument("--drop-features", nargs="*", default=None)
-    p.add_argument("--corr-threshold", type=float, default=0.9)
-    p.add_argument("--dominant-threshold", type=float, default=DEFAULT_DOMINANT_THRESHOLD)
-    p.set_defaults(func=_cmd_features)
-
-    p = sub.add_parser("cluster", help="factor extraction plus k-means evaluation")
-    _add_io_args(p)
-    _add_cluster_args(p)
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("pipeline", help="run every stage and write all artifacts")
-    _add_io_args(p)
-    _add_cluster_args(p)
-    p.set_defaults(func=_cmd_pipeline)
-
+    for name, help_text, add_args in _RUN_COMMANDS:
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        _add_io_args(p)
+        if add_args:
+            add_args(p)
+        p.set_defaults(func=_cmd_run, artifacts=COMMAND_ARTIFACTS[name])
+        if name == "patterns":
+            p.add_argument(
+                "--detail", dest="artifacts", action="store_const",
+                const=COMMAND_ARTIFACTS["patterns"] + ("patterns_detail.csv",),
+                help="also write per-node detail",
+            )
     return parser
 
 

@@ -92,22 +92,26 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
     return labels, centroids, history[-1], history
 
 
+def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
+    """The lowest-inertia Lloyd fit over k-means++ restarts drawn from ``seed``."""
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        fit = _lloyd(points, _kmeans_pp_init(points, k, rng))
+        if best is None or fit[2] < best[2]:
+            best = fit
+    return best
+
+
 def kmeans(scores, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
     """Best-of-restarts k-means; deterministic for a fixed seed."""
     points = _as_points(scores)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = _kmeans_pp_init(points, k, rng)
-        labels, centroids, inertia, history = _lloyd(points, init)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia, history)
-    labels, centroids, inertia, history = best
+    labels, centroids, inertia, history = _best_fit(points, k, seed, restarts)
     return ClusteringResult(
         k=k,
         labels=labels,
@@ -200,8 +204,7 @@ def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> ElbowCurve:
     entries = []
     prev: tuple[np.ndarray, np.ndarray] | None = None
     for k in ks:
-        result = kmeans(points, k, seed=seed, restarts=restarts)
-        labels, centroids, inertia = result.labels, result.centroids, result.inertia
+        labels, centroids, inertia, _ = _best_fit(points, k, seed, restarts)
         if prev is not None:
             prev_labels, prev_centroids = prev
             warm = prev_centroids

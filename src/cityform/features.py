@@ -17,12 +17,13 @@ Feature matrices come in two layouts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .geometry import PATTERN_TYPES, PatternCounts, link_bearing
+from .geometry import OTHER_PATTERN, PATTERN_TYPES, PatternCounts, link_bearing
 from .graph import CityNetwork
 from .topology import DEGREE_CLASSES, TopoMetrics
 
@@ -31,15 +32,32 @@ BIN_WIDTH_DEG = 360.0 / BIN_COUNT
 DEFAULT_DOMINANT_THRESHOLD = 0.10
 
 DEGREE_FEATURES = tuple(f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CLASSES)
+# metrics.csv columns after the degree shares, each with its TopoMetrics
+# attribute path; the baseline features reorder a subset.
+_METRIC_ATTRS = {
+    "median_bc": "centrality.median_normalized_bc",
+    "link_node_ratio": "link_node_ratio",
+    "density_km_per_km2": "network_density_km_per_km2",
+    "mean_link_length_m": "mean_link_length_m",
+    "pct_in_ne_out": "degree_profile.pct_nodes_in_ne_out",
+}
+METRIC_COLUMNS = DEGREE_FEATURES + tuple(_METRIC_ATTRS)
 BASELINE_FEATURES = DEGREE_FEATURES + (
     "median_bc",
     "mean_link_length_m",
     "density_km_per_km2",
     "link_node_ratio",
 )
-PATTERN_FEATURES = tuple(f"d3_t{t}" for t in PATTERN_TYPES) + tuple(
-    f"d4_t{t}" for t in PATTERN_TYPES
-)
+
+
+def _pattern_column(degree: int, code: str) -> str:
+    return f"d{degree}_{code}" if code == OTHER_PATTERN else f"d{degree}_t{code}"
+
+
+_PATTERN_CODES = PATTERN_TYPES + (OTHER_PATTERN,)
+# Column order of patterns.csv; the features leave out the "other" shares.
+PATTERN_COLUMNS = tuple(_pattern_column(d, code) for d in (3, 4) for code in _PATTERN_CODES)
+PATTERN_FEATURES = tuple(c for c in PATTERN_COLUMNS if not c.endswith(OTHER_PATTERN))
 BEARING_FEATURES = tuple(f"bearing_bin_{i}" for i in range(1, BIN_COUNT + 1)) + (
     "dominant_bin_count",
 )
@@ -115,14 +133,18 @@ class FeatureMatrix:
     constant_columns: tuple[str, ...] = ()
 
 
-def _baseline_row(bundle: CityMetrics) -> list[float]:
-    profile = bundle.topo.degree_profile.proportions_out
-    return [profile[c] for c in DEGREE_CLASSES] + [
-        bundle.topo.centrality.median_normalized_bc,
-        bundle.topo.mean_link_length_m,
-        bundle.topo.network_density_km_per_km2,
-        bundle.topo.link_node_ratio,
-    ]
+def metric_values(topo: TopoMetrics) -> dict[str, float]:
+    """One city's topological metrics keyed by their ``METRIC_COLUMNS`` name."""
+    shares = topo.degree_profile.proportions_out
+    values = {name: shares[c] for name, c in zip(DEGREE_FEATURES, DEGREE_CLASSES)}
+    values.update((name, attrgetter(path)(topo)) for name, path in _METRIC_ATTRS.items())
+    return values
+
+
+def pattern_values(counts: PatternCounts) -> dict[str, float]:
+    """One city's pattern shares keyed by their ``PATTERN_COLUMNS`` name."""
+    props = {3: counts.d3_props, 4: counts.d4_props}
+    return {_pattern_column(d, code): props[d][code] for d in (3, 4) for code in _PATTERN_CODES}
 
 
 def assemble_features(bundles: Sequence[CityMetrics], mode: str = "baseline") -> FeatureMatrix:
@@ -135,14 +157,15 @@ def assemble_features(bundles: Sequence[CityMetrics], mode: str = "baseline") ->
     for bundle in bundles:
         if bundle.topo is None:
             raise DataError(f"city {bundle.city_name!r} is missing topology metrics")
-        row = _baseline_row(bundle)
+        metrics = metric_values(bundle.topo)
+        row = [metrics[name] for name in BASELINE_FEATURES]
         if mode == "enhanced":
             if bundle.patterns is None:
                 raise DataError(f"city {bundle.city_name!r} is missing pattern counts")
             if bundle.bearings is None:
                 raise DataError(f"city {bundle.city_name!r} is missing a bearing histogram")
-            row += [bundle.patterns.d3_props[t] for t in PATTERN_TYPES]
-            row += [bundle.patterns.d4_props[t] for t in PATTERN_TYPES]
+            patterns = pattern_values(bundle.patterns)
+            row += [patterns[name] for name in PATTERN_FEATURES]
             row += list(bundle.bearings.bins)
             row.append(float(bundle.bearings.dominant_bin_count))
         rows.append(row)
@@ -198,6 +221,19 @@ def zscore(matrix: FeatureMatrix) -> FeatureMatrix:
     )
 
 
+def correlation_matrix(z: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """Pearson correlations of z-scored columns (population moments).
+
+    Columns flagged in the boolean mask ``constant`` correlate as 0 with
+    every other column; the diagonal is exactly 1.
+    """
+    corr = (z.T @ z) / z.shape[0]
+    corr[constant, :] = 0.0
+    corr[:, constant] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     feature_names: tuple[str, ...]
@@ -215,16 +251,10 @@ def pearson_report(matrix: FeatureMatrix, threshold: float = 0.9) -> Correlation
     values = matrix.values
     if values.shape[0] < 3:
         raise ValidationError("correlation needs at least 3 cities")
-    centered = values - values.mean(axis=0)
     stds = values.std(axis=0)
     constant = stds < _CONSTANT_STD_EPS
-    safe = np.where(constant, 1.0, stds)
-    z = centered / safe
-    corr = (z.T @ z) / values.shape[0]
-    corr[constant, :] = 0.0
-    corr[:, constant] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    corr = np.clip(corr, -1.0, 1.0)
+    z = (values - values.mean(axis=0)) / np.where(constant, 1.0, stds)
+    corr = np.clip(correlation_matrix(z, constant), -1.0, 1.0)
     flagged = []
     for i in range(len(matrix.feature_names)):
         for j in range(i + 1, len(matrix.feature_names)):

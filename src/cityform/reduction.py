@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, correlation_matrix
 
 # An eigenvalue must beat 1 by more than this to count as "greater than 1".
 _KAISER_TOL = 1e-9
@@ -46,8 +46,8 @@ def extract_factors(matrix: FeatureMatrix, retained_override: int | None = None)
     if n_cities < 3:
         raise ValidationError("factor extraction needs at least 3 cities")
 
-    corr = (values.T @ values) / n_cities
-    np.fill_diagonal(corr, 1.0)
+    # z-scoring leaves a constant column all zero.
+    corr = correlation_matrix(values, ~values.any(axis=0))
     eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
