@@ -386,31 +386,36 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     """Load city boundaries from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon and carry a ``name``
-    property.
+    property that no other feature carries.
     """
     with open(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if doc.get("type") != "FeatureCollection":
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a GeoJSON FeatureCollection")
     boundaries = []
-    for idx, feature in enumerate(doc.get("features", [])):
-        props = feature.get("properties") or {}
-        name = props.get("name")
+    for idx, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise DataError(f"{path}: feature {idx} is not a JSON object")
+        props = feature.get("properties")
+        name = props.get("name") if isinstance(props, dict) else None
         if not name:
             raise DataError(f"{path}: feature {idx} has no 'name' property")
-        geometry = feature.get("geometry") or {}
-        gtype = geometry.get("type")
-        coords = geometry.get("coordinates")
-        if gtype == "Polygon":
-            polygons = [coords]
-        elif gtype == "MultiPolygon":
-            polygons = coords
-        else:
+        name = str(name)
+        if any(b.city_name == name for b in boundaries):
+            raise DataError(f"{path}: feature {idx} repeats the boundary name {name!r}")
+        geometry = feature.get("geometry")
+        gtype = geometry.get("type") if isinstance(geometry, dict) else None
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise DataError(
                 f"{path}: feature {name!r} has unsupported geometry type {gtype!r}"
             )
-        boundaries.append(make_boundary(str(name), polygons))
+        coords = geometry.get("coordinates")
+        try:
+            boundaries.append(make_boundary(name, [coords] if gtype == "Polygon" else coords))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: feature {name!r} has malformed coordinates ({exc})") from None
     return boundaries

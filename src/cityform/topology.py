@@ -176,7 +176,8 @@ def undirected_edge_lengths(city: CityNetwork) -> list[float]:
             backward.setdefault((link.to_node, link.from_node), []).append(link.length_m)
 
     lengths: list[float] = []
-    for key in set(forward) | set(backward):
+    # Sorted, so the float sums downstream do not follow PYTHONHASHSEED.
+    for key in sorted(set(forward) | set(backward)):
         fwd = sorted(forward.get(key, []))
         bwd = sorted(backward.get(key, []))
         i = j = 0

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cityform
 from cityform.cli import (
     METRICS_HEADER,
     PATTERNS_HEADER,
@@ -269,3 +273,87 @@ class TestExitCodes:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 3
+
+
+class TestRunner:
+    """Every subcommand goes through run_pipeline's lazy, self-cleaning runner."""
+
+    def test_subcommand_failure_removes_what_it_wrote(self, corpus, tmp_path):
+        root, _ = corpus
+        # factors.json is written before k is checked against the city count.
+        assert main(["cluster", "--k", "99"] + io_args(root, tmp_path / "out")) == 2
+        assert not (tmp_path / "out" / "factors.json").exists()
+
+    def test_patterns_never_computes_betweenness(self, corpus, tmp_path, monkeypatch):
+        def refuse(city):
+            raise AssertionError("patterns computed betweenness")
+
+        monkeypatch.setattr("cityform.topology.betweenness", refuse)
+        root, _ = corpus
+        assert main(["patterns", "--detail"] + io_args(root, tmp_path)) == 0
+        assert (tmp_path / "patterns_detail.csv").exists()
+
+    def test_artifacts_do_not_depend_on_hash_seed(self, corpus, tmp_path):
+        root, _ = corpus
+        src = str(Path(cityform.__file__).resolve().parents[1])
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "cityform.cli", "pipeline"]
+                + io_args(root, tmp_path / hash_seed),
+                env=env, check=True, capture_output=True,
+            )
+        for artifact in PIPELINE_ARTIFACTS:
+            left = (tmp_path / "1" / artifact).read_bytes()
+            assert left == (tmp_path / "2" / artifact).read_bytes(), artifact
+
+
+def feature(name, coordinates):
+    return {
+        "type": "Feature",
+        "properties": {"name": name},
+        "geometry": {"type": "Polygon", "coordinates": coordinates},
+    }
+
+
+SQUARE = [[[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]]
+
+
+class TestBoundaryFaults:
+    def run_with_boundaries(self, corpus, tmp_path, doc):
+        root, _ = corpus
+        (tmp_path / "b.geojson").write_text(json.dumps(doc))
+        argv = io_args(root, tmp_path / "out")
+        argv[argv.index("--boundaries") + 1] = str(tmp_path / "b.geojson")
+        return main(["pipeline"] + argv)
+
+    def test_duplicate_name_is_data_error(self, corpus, tmp_path, capsys):
+        root, names = corpus
+        doc = json.loads((root / "boundaries.geojson").read_text())
+        doc["features"][1]["properties"]["name"] = names[0]
+        assert self.run_with_boundaries(corpus, tmp_path, doc) == 3
+        assert repr(names[0]) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, names",
+        [
+            ([feature("a", SQUARE)], "FeatureCollection"),
+            ({"type": "FeatureCollection", "features": [feature("a", SQUARE), 5]}, "feature 1"),
+            (
+                {"type": "FeatureCollection",
+                 "features": [{"type": "Feature", "properties": {"name": "a"},
+                               "geometry": {"type": "Polygon"}}]},
+                "'a'",
+            ),
+            (
+                {"type": "FeatureCollection",
+                 "features": [feature("b", [[[0.0], [10.0, 0.0], [10.0, 10.0]]])]},
+                "'b'",
+            ),
+        ],
+        ids=["top-level-list", "non-object-feature", "missing-coordinates", "one-coordinate-vertex"],
+    )
+    def test_malformed_geojson_is_data_error(self, corpus, tmp_path, capsys, doc, names):
+        assert self.run_with_boundaries(corpus, tmp_path, doc) == 3
+        assert names in capsys.readouterr().err
