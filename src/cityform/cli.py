@@ -210,9 +210,7 @@ class _Run:
 
     @cached_property
     def clustering(self):
-        config, n_cities = self.config, len(self.cities)
-        if config.k > n_cities:
-            raise ValidationError(f"k={config.k} exceeds the {n_cities} available cities")
+        config = self.config
         return kmeans(self.factors.scores, config.k, seed=config.seed, restarts=config.restarts)
 
 
@@ -454,9 +452,9 @@ def _add_io_args(parser: argparse.ArgumentParser) -> None:
         "--boundaries", dest="boundaries_path", required=True,
         help="GeoJSON FeatureCollection of city boundaries",
     )
-    parser.add_argument("--mode", choices=("geo", "planar"), help="coordinate mode (default planar)")
+    parser.add_argument("--mode", choices=("geo", "planar"), help="coordinate mode")
     parser.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    parser.add_argument("--tau", type=float, help="angle tolerance in degrees (default 10)")
+    parser.add_argument("--tau", type=float, help="angle tolerance in degrees")
 
 
 def _add_feature_args(parser: argparse.ArgumentParser) -> None:
