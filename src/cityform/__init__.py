@@ -22,7 +22,6 @@ from .features import (
     ENHANCED_FEATURES,
     BearingHistogram,
     CityMetrics,
-    CorrelationReport,
     FeatureMatrix,
     assemble_features,
     bearing_histogram,
@@ -81,7 +80,6 @@ __all__ = [
     "CityNetwork",
     "CityformError",
     "ClusteringResult",
-    "CorrelationReport",
     "DataError",
     "DegenerateGeometryError",
     "DegreeProfile",

@@ -90,7 +90,6 @@ class RunConfig:
     restarts: int = 10
     factors_override: int | None = None
     drop: tuple[str, ...] = ()
-    corr_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         # Command lines and manifests hand these over as lists.
@@ -205,8 +204,12 @@ class _Run:
         return drop_features(matrix, self.config.drop) if self.config.drop else matrix
 
     @cached_property
+    def zscored(self):
+        return zscore(self.matrix)
+
+    @cached_property
     def factors(self):
-        return extract_factors(zscore(self.matrix), self.config.factors_override)
+        return extract_factors(self.zscored, self.config.factors_override)
 
     @cached_property
     def clustering(self):
@@ -220,11 +223,6 @@ def _named_rows(cities, values, columns) -> list[list]:
 
 def _labelled_table(corner: str, columns, labels, values):
     return [corner, *columns], [[label, *map(float, row)] for label, row in zip(labels, values)]
-
-
-def _correlations(run: _Run):
-    report = pearson_report(run.matrix, run.config.corr_threshold)
-    return _labelled_table("feature", report.feature_names, report.feature_names, report.matrix)
 
 
 def _elbow_rows(run: _Run) -> list[list]:
@@ -285,7 +283,9 @@ _CONTENTS = {
     "features.csv": lambda run: _labelled_table(
         "city", run.matrix.feature_names, run.matrix.cities, run.matrix.values
     ),
-    "correlations.csv": _correlations,
+    "correlations.csv": lambda run: _labelled_table(
+        "feature", run.zscored.feature_names, run.zscored.feature_names, pearson_report(run.zscored)
+    ),
     "factors.json": lambda run: {
         "eigenvalues": list(run.factors.eigenvalues),
         "retained": run.factors.retained,
@@ -460,7 +460,6 @@ def _add_io_args(parser: argparse.ArgumentParser) -> None:
 def _add_feature_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--feature-mode", choices=FEATURE_MODES)
     parser.add_argument("--drop-features", dest="drop", nargs="*", help="feature columns to drop")
-    parser.add_argument("--corr-threshold", type=float)
     parser.add_argument("--dominant-threshold", type=float)
 
 

@@ -36,9 +36,9 @@ DEGREE_FEATURES = tuple(f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CL
 # attribute path; the baseline features reorder a subset.
 _METRIC_ATTRS = {
     "median_bc": "centrality.median_normalized_bc",
-    "link_node_ratio": "link_node_ratio",
-    "density_km_per_km2": "network_density_km_per_km2",
-    "mean_link_length_m": "mean_link_length_m",
+    "link_node_ratio": "geometry.link_node_ratio",
+    "density_km_per_km2": "geometry.network_density_km_per_km2",
+    "mean_link_length_m": "geometry.mean_link_length_m",
     "pct_in_ne_out": "degree_profile.pct_nodes_in_ne_out",
 }
 METRIC_COLUMNS = DEGREE_FEATURES + tuple(_METRIC_ATTRS)
@@ -128,8 +128,6 @@ class FeatureMatrix:
     feature_names: tuple[str, ...]
     values: np.ndarray
     normalization: str = "none"
-    means: tuple[float, ...] | None = None
-    stds: tuple[float, ...] | None = None
     constant_columns: tuple[str, ...] = ()
 
 
@@ -178,7 +176,7 @@ def assemble_features(bundles: Sequence[CityMetrics], mode: str = "baseline") ->
 
 
 def drop_features(matrix: FeatureMatrix, names: Sequence[str]) -> FeatureMatrix:
-    """Remove named columns (e.g. ones flagged as redundant by correlation)."""
+    """Remove named columns (e.g. one of each pair correlated at |r| >= 0.9)."""
     unknown = [n for n in names if n not in matrix.feature_names]
     if unknown:
         raise ValidationError(f"cannot drop unknown features: {unknown}")
@@ -213,20 +211,19 @@ def zscore(matrix: FeatureMatrix) -> FeatureMatrix:
         feature_names=matrix.feature_names,
         values=values,
         normalization="zscore",
-        means=tuple(float(m) for m in means),
-        stds=tuple(float(s) for s in stds),
         constant_columns=tuple(
             n for n, is_const in zip(matrix.feature_names, constant) if is_const
         ),
     )
 
 
-def correlation_matrix(z: np.ndarray, constant: np.ndarray) -> np.ndarray:
+def correlation_matrix(z: np.ndarray) -> np.ndarray:
     """Pearson correlations of z-scored columns (population moments).
 
-    Columns flagged in the boolean mask ``constant`` correlate as 0 with
-    every other column; the diagonal is exactly 1.
+    z-scoring leaves a constant column all zero; such a column correlates
+    as 0 with every other column. The diagonal is exactly 1.
     """
+    constant = ~z.any(axis=0)
     corr = (z.T @ z) / z.shape[0]
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
@@ -234,39 +231,10 @@ def correlation_matrix(z: np.ndarray, constant: np.ndarray) -> np.ndarray:
     return corr
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    feature_names: tuple[str, ...]
-    matrix: np.ndarray
-    flagged_pairs: tuple[tuple[str, str, float], ...]
-    degenerate_features: tuple[str, ...]
-
-
-def pearson_report(matrix: FeatureMatrix, threshold: float = 0.9) -> CorrelationReport:
-    """Full Pearson correlation matrix plus pairs with |r| at or above threshold.
-
-    Constant columns correlate as 0 with everything (flagged as degenerate)
-    rather than producing NaN.
-    """
-    values = matrix.values
-    if values.shape[0] < 3:
+def pearson_report(z: FeatureMatrix) -> np.ndarray:
+    """Pearson correlation matrix of a z-scored feature matrix, clipped to [-1, 1]."""
+    if z.normalization != "zscore":
+        raise ValidationError("correlation requires a z-scored matrix")
+    if z.values.shape[0] < 3:
         raise ValidationError("correlation needs at least 3 cities")
-    stds = values.std(axis=0)
-    constant = stds < _CONSTANT_STD_EPS
-    z = (values - values.mean(axis=0)) / np.where(constant, 1.0, stds)
-    corr = np.clip(correlation_matrix(z, constant), -1.0, 1.0)
-    flagged = []
-    for i in range(len(matrix.feature_names)):
-        for j in range(i + 1, len(matrix.feature_names)):
-            if abs(corr[i, j]) >= threshold:
-                flagged.append(
-                    (matrix.feature_names[i], matrix.feature_names[j], float(corr[i, j]))
-                )
-    return CorrelationReport(
-        feature_names=matrix.feature_names,
-        matrix=corr,
-        flagged_pairs=tuple(flagged),
-        degenerate_features=tuple(
-            n for n, is_const in zip(matrix.feature_names, constant) if is_const
-        ),
-    )
+    return np.clip(correlation_matrix(z.values), -1.0, 1.0)

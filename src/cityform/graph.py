@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError, EmptyCityError, ValidationError
 
@@ -156,8 +156,11 @@ class CityBoundary:
             yield from polygon
 
 
-def _validated_ring(raw: Iterable[tuple[float, float]], name: str) -> Ring:
-    pts = [GeoPoint(float(x), float(y)) for x, y in raw]
+def _validated_ring(raw: Iterable[tuple[float, ...]], name: str) -> Ring:
+    # A GeoJSON position may carry an altitude after x and y; it is ignored.
+    pts = [GeoPoint(float(x), float(y)) for x, y, *_ in raw]
+    if not all(math.isfinite(c) for p in pts for c in p):
+        raise DataError(f"boundary ring for {name!r} has a non-finite vertex")
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(pts) < 3:
@@ -324,9 +327,27 @@ def _parse_shape_points(raw: str, where: str) -> tuple[GeoPoint, ...]:
     return tuple(points)
 
 
-def _check_header(actual: list[str] | None, expected: list[str], path: str) -> None:
-    if actual is None or [c.strip() for c in actual] != expected:
-        raise DataError(f"{path}: expected header {','.join(expected)!r}, got {actual!r}")
+def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(file:line, fields)`` for each non-blank row after ``header``.
+
+    The file is read as UTF-8, with or without a byte-order mark.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            actual = next(reader, None)
+            if actual is None or [c.strip() for c in actual] != header:
+                raise DataError(f"{path}: expected header {','.join(header)!r}, got {actual!r}")
+            for row in reader:
+                if not any(field.strip() for field in row):
+                    continue
+                # The row's last line: a quoted field may span several.
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                yield where, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
 
 
 def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
@@ -339,45 +360,27 @@ def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
     if mode not in MODES:
         raise ValidationError(f"unknown coordinate mode: {mode!r}")
     nodes: list[RoadNode] = []
-    with open(nodes_file, newline="") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), NODES_HEADER, str(nodes_file))
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            where = f"{nodes_file}:{line_no}"
-            if len(row) != 3:
-                raise DataError(f"{where}: expected 3 fields, got {len(row)}")
-            point = GeoPoint(_parse_float(row[1], "x", where), _parse_float(row[2], "y", where))
-            nodes.append(RoadNode(id=row[0].strip(), location=point))
+    for where, row in _csv_rows(nodes_file, NODES_HEADER):
+        point = GeoPoint(_parse_float(row[1], "x", where), _parse_float(row[2], "y", where))
+        nodes.append(RoadNode(id=row[0].strip(), location=point))
 
     node_locations = {node.id: node.location for node in nodes}
     links: list[RoadLink] = []
-    with open(links_file, newline="") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), LINKS_HEADER, str(links_file))
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            where = f"{links_file}:{line_no}"
-            if len(row) != 5:
-                raise DataError(f"{where}: expected 5 fields, got {len(row)}")
-            link_id, from_id, to_id = row[0].strip(), row[1].strip(), row[2].strip()
-            for endpoint in (from_id, to_id):
-                if endpoint not in node_locations:
-                    raise DataError(
-                        f"{where}: link {link_id!r} references missing node {endpoint!r}"
-                    )
-            shape = _parse_shape_points(row[4], where)
-            if row[3].strip():
-                length = _parse_float(row[3], "length_m", where)
-                if length <= 0:
-                    raise DataError(f"{where}: length_m must be positive, got {length}")
-            else:
-                length = polyline_length_m(
-                    (node_locations[from_id], *shape, node_locations[to_id]), mode
-                )
-            links.append(RoadLink(link_id, from_id, to_id, shape, length))
+    for where, row in _csv_rows(links_file, LINKS_HEADER):
+        link_id, from_id, to_id = row[0].strip(), row[1].strip(), row[2].strip()
+        for endpoint in (from_id, to_id):
+            if endpoint not in node_locations:
+                raise DataError(f"{where}: link {link_id!r} references missing node {endpoint!r}")
+        shape = _parse_shape_points(row[4], where)
+        if row[3].strip():
+            length = _parse_float(row[3], "length_m", where)
+            if length <= 0:
+                raise DataError(f"{where}: length_m must be positive, got {length}")
+        else:
+            length = polyline_length_m(
+                (node_locations[from_id], *shape, node_locations[to_id]), mode
+            )
+        links.append(RoadLink(link_id, from_id, to_id, shape, length))
 
     return RoadGraph(nodes, links, mode)
 
@@ -388,10 +391,10 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     Each feature must be a Polygon or MultiPolygon and carry a ``name``
     property that no other feature carries.
     """
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, deep nesting
             raise DataError(f"{path}: invalid JSON ({exc})") from None
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
@@ -416,6 +419,6 @@ def load_boundaries(path: str) -> list[CityBoundary]:
         coords = geometry.get("coordinates")
         try:
             boundaries.append(make_boundary(name, [coords] if gtype == "Polygon" else coords))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: feature {name!r} has malformed coordinates ({exc})") from None
     return boundaries

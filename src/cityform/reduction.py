@@ -46,8 +46,7 @@ def extract_factors(matrix: FeatureMatrix, retained_override: int | None = None)
     if n_cities < 3:
         raise ValidationError("factor extraction needs at least 3 cities")
 
-    # z-scoring leaves a constant column all zero.
-    corr = correlation_matrix(values, ~values.any(axis=0))
+    corr = correlation_matrix(values)
     eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

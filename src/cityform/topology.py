@@ -29,15 +29,15 @@ _OPPOSING_LENGTH_TOL_M = 1.0
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Fractions of nodes per degree class, separately for out- and in-degree.
+    """Fractions of nodes per out-degree class, and the share of nodes whose
+    in-degree differs from their out-degree.
 
     Degrees of 5 and above pool into the "5+" class. A "0" class exists so
     the proportions always sum to 1 even on one-way graphs with pure
-    sources or sinks.
+    sinks.
     """
 
     proportions_out: dict[str, float]
-    proportions_in: dict[str, float]
     pct_nodes_in_ne_out: float
 
 
@@ -52,16 +52,13 @@ class GeometrySummary:
     link_node_ratio: float
     network_density_km_per_km2: float
     mean_link_length_m: float
-    undirected_edge_count: int
 
 
 @dataclass(frozen=True)
 class TopoMetrics:
     degree_profile: DegreeProfile
     centrality: CentralitySummary
-    link_node_ratio: float
-    network_density_km_per_km2: float
-    mean_link_length_m: float
+    geometry: GeometrySummary
 
 
 def _degree_class(degree: int) -> str:
@@ -71,25 +68,21 @@ def _degree_class(degree: int) -> str:
 
 
 def degree_profile(city: CityNetwork) -> DegreeProfile:
-    """Out/in degree class proportions and the share of unbalanced nodes."""
+    """Out-degree class proportions and the share of unbalanced nodes."""
     graph = city.graph
     n = graph.node_count
     if n == 0:
         raise EmptyCityError(f"city {city.city_name!r} has no nodes")
     out_counts: dict[str, int] = {}
-    in_counts: dict[str, int] = {}
     unbalanced = 0
     for node_id in graph.nodes:
         out_deg = graph.out_degree(node_id)
-        in_deg = graph.in_degree(node_id)
         out_counts[_degree_class(out_deg)] = out_counts.get(_degree_class(out_deg), 0) + 1
-        in_counts[_degree_class(in_deg)] = in_counts.get(_degree_class(in_deg), 0) + 1
-        if out_deg != in_deg:
+        if out_deg != graph.in_degree(node_id):
             unbalanced += 1
     classes = ("0",) + DEGREE_CLASSES
     return DegreeProfile(
         proportions_out={c: out_counts.get(c, 0) / n for c in classes},
-        proportions_in={c: in_counts.get(c, 0) / n for c in classes},
         pct_nodes_in_ne_out=unbalanced / n,
     )
 
@@ -208,17 +201,13 @@ def geometric_summaries(city: CityNetwork) -> GeometrySummary:
         link_node_ratio=len(lengths) / graph.node_count,
         network_density_km_per_km2=total_km / city.area_km2,
         mean_link_length_m=sum(lengths) / len(lengths) if lengths else 0.0,
-        undirected_edge_count=len(lengths),
     )
 
 
 def topo_metrics(city: CityNetwork) -> TopoMetrics:
     """All topological metrics for one city."""
-    geo = geometric_summaries(city)
     return TopoMetrics(
         degree_profile=degree_profile(city),
         centrality=betweenness(city),
-        link_node_ratio=geo.link_node_ratio,
-        network_density_km_per_km2=geo.network_density_km_per_km2,
-        mean_link_length_m=geo.mean_link_length_m,
+        geometry=geometric_summaries(city),
     )

@@ -357,3 +357,80 @@ class TestBoundaryFaults:
     def test_malformed_geojson_is_data_error(self, corpus, tmp_path, capsys, doc, names):
         assert self.run_with_boundaries(corpus, tmp_path, doc) == 3
         assert names in capsys.readouterr().err
+
+
+def corpus_copy(corpus, tmp_path, edit):
+    """The corpus's three input files, each passed through ``edit(name, bytes)``."""
+    root, _ = corpus
+    copy = tmp_path / "in"
+    copy.mkdir()
+    for name in ("nodes.csv", "links.csv", "boundaries.geojson"):
+        (copy / name).write_bytes(edit(name, (root / name).read_bytes()))
+    return copy
+
+
+def first_vertex(raw):
+    """Replace the first vertex of the first boundary with the JSON text ``raw``."""
+    def edit(name, data):
+        if name != "boundaries.geojson":
+            return data
+        doc = json.loads(data)
+        doc["features"][0]["geometry"]["coordinates"][0][0] = "VERTEX"
+        return json.dumps(doc).replace('"VERTEX"', raw).encode()
+    return edit
+
+
+def appended(target, extra):
+    return lambda name, data: data + extra if name == target else data
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (first_vertex("[NaN, 0.0]"), "'gridded_00'"),
+            (first_vertex("[1e400, 0.0]"), "'gridded_00'"),
+            (first_vertex("[1" + "0" * 400 + ", 0.0]"), "'gridded_00'"),
+            (appended("nodes.csv", b"x\xff,1,2\n"), "nodes.csv"),
+            (appended("links.csv", b"x\xff,a,b,,\n"), "links.csv"),
+            (
+                lambda name, data: data.replace(b'"name": "', b'"name": "\xff', 1)
+                if name == "boundaries.geojson" else data,
+                "boundaries.geojson",
+            ),
+            (appended("nodes.csv", b"n" + b"a" * 200_000 + b",1,2\n"), "nodes.csv"),
+            (
+                lambda name, data: b"[" * 100_000 if name == "boundaries.geojson" else data,
+                "boundaries.geojson",
+            ),
+        ],
+        ids=[
+            "nan-vertex", "1e400-vertex", "400-digit-vertex", "0xff-nodes", "0xff-links",
+            "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
+        ],
+    )
+    def test_bad_input_is_data_error(self, corpus, tmp_path, capsys, edit, named):
+        copy = corpus_copy(corpus, tmp_path, edit)
+        assert main(["features"] + io_args(copy, tmp_path / "out")) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bom_and_altitude_change_no_artifact(self, corpus, tmp_path):
+        def edit(name, data):
+            if name == "boundaries.geojson":
+                doc = json.loads(data)
+                for feat in doc["features"]:
+                    for ring in feat["geometry"]["coordinates"]:
+                        for vertex in ring:
+                            vertex.append(7)
+                data = json.dumps(doc).encode()
+            return b"\xef\xbb\xbf" + data
+
+        copy = corpus_copy(corpus, tmp_path, edit)
+        assert (copy / "boundaries.geojson").read_bytes().count(b", 7]") > 0
+        root, _ = corpus
+        assert main(["pipeline"] + io_args(root, tmp_path / "plain")) == 0
+        assert main(["pipeline"] + io_args(copy, tmp_path / "edited")) == 0
+        for artifact in PIPELINE_ARTIFACTS:
+            left = (tmp_path / "plain" / artifact).read_bytes()
+            assert left == (tmp_path / "edited" / artifact).read_bytes(), artifact

@@ -203,15 +203,12 @@ class TestPearson:
         return FeatureMatrix(cities, names, arr)
 
     def test_identical_columns(self):
-        report = pearson_report(self.matrix([[1, 2, 3, 4], [1, 2, 3, 4]]), 0.9)
-        assert report.matrix[0, 1] == pytest.approx(1.0)
-        assert ("f0", "f1", 1.0) in [
-            (a, b, pytest.approx(r)) for a, b, r in report.flagged_pairs
-        ]
+        corr = pearson_report(zscore(self.matrix([[1, 2, 3, 4], [1, 2, 3, 4]])))
+        assert corr[0, 1] == pytest.approx(1.0)
 
     def test_negated_column(self):
-        report = pearson_report(self.matrix([[1, 2, 3], [-1, -2, -3]]), 0.9)
-        assert report.matrix[0, 1] == pytest.approx(-1.0)
+        corr = pearson_report(zscore(self.matrix([[1, 2, 3], [-1, -2, -3]])))
+        assert corr[0, 1] == pytest.approx(-1.0)
 
     def test_hand_oracle_value(self):
         x, y = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 2.0, 4.0]
@@ -221,34 +218,37 @@ class TestPearson:
         sx = math.sqrt(sum((a - mx) ** 2 for a in x) / n)
         sy = math.sqrt(sum((b - my) ** 2 for b in y) / n)
         expected = cov / (sx * sy)
-        report = pearson_report(self.matrix([x, y]), 0.99)
-        assert report.matrix[0, 1] == pytest.approx(expected, abs=1e-12)
-        assert report.matrix[0, 1] == pytest.approx(0.9234, abs=1e-3)
+        corr = pearson_report(zscore(self.matrix([x, y])))
+        assert corr[0, 1] == pytest.approx(expected, abs=1e-12)
+        assert corr[0, 1] == pytest.approx(0.9234, abs=1e-3)
 
-    def test_constant_column_reports_zero_with_flag(self):
-        report = pearson_report(self.matrix([[1, 2, 3], [7, 7, 7]]), 0.9)
-        assert report.matrix[0, 1] == 0.0
-        assert report.matrix[1, 1] == 1.0
-        assert report.degenerate_features == ("f1",)
+    def test_constant_column_reports_zero(self):
+        corr = pearson_report(zscore(self.matrix([[1, 2, 3], [7, 7, 7]])))
+        assert corr[0, 1] == 0.0
+        assert corr[1, 1] == 1.0
 
     def test_symmetric_unit_diagonal_bounded(self):
         rng = np.random.default_rng(3)
         matrix = self.matrix([list(rng.normal(size=10)) for _ in range(4)])
-        report = pearson_report(matrix, 0.9)
-        assert np.allclose(report.matrix, report.matrix.T)
-        assert np.allclose(np.diag(report.matrix), 1.0)
-        assert np.all(np.abs(report.matrix) <= 1.0)
+        corr = pearson_report(zscore(matrix))
+        assert np.allclose(corr, corr.T)
+        assert np.allclose(np.diag(corr), 1.0)
+        assert np.all(np.abs(corr) <= 1.0)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
         raw = self.matrix([list(rng.normal(size=12)) for _ in range(4)])
         normalized = zscore(raw)
-        r1 = pearson_report(raw, 0.9).matrix
+        r1 = pearson_report(zscore(raw))
         r2 = pearson_report(
-            FeatureMatrix(raw.cities, raw.feature_names, normalized.values), 0.9
-        ).matrix
+            zscore(FeatureMatrix(raw.cities, raw.feature_names, normalized.values))
+        )
         assert np.allclose(r1, r2, atol=1e-9)
 
     def test_needs_three_rows(self):
         with pytest.raises(ValidationError):
-            pearson_report(self.matrix([[1, 2], [3, 4]]), 0.9)
+            pearson_report(zscore(self.matrix([[1, 2], [3, 4]])))
+
+    def test_requires_zscored_input(self):
+        with pytest.raises(ValidationError, match="z-scored"):
+            pearson_report(self.matrix([[1, 2, 3], [3, 1, 2]]))

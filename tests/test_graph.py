@@ -3,10 +3,14 @@
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cityform.errors import DataError
+from cityform.errors import CityformError, DataError
 from cityform.graph import (
     EARTH_RADIUS_M,
     CityNetwork,
@@ -101,6 +105,11 @@ class TestLoadGraph:
         links.write_text("link_id,from,to,length_m,shape_points\n")
         with pytest.raises(DataError, match="header"):
             load_graph(str(nodes), str(links), "planar")
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        nodes, links = write_graph_files(tmp_path, ['"A', 'B",0,0', "C,zz,0"], [])
+        with pytest.raises(DataError, match=r"nodes\.csv:4: cannot parse x"):
+            load_graph(nodes, links, "planar")
 
     def test_out_of_range_geographic_coordinate(self, tmp_path):
         nodes, links = write_graph_files(tmp_path, ["A,200,0"], [])
@@ -267,3 +276,51 @@ class TestBoundariesFile:
     def test_degenerate_ring_rejected(self):
         with pytest.raises(DataError, match="3 distinct"):
             make_boundary("bad", [[[(0, 0), (1, 1)]]])
+
+
+VALID_NODES = b"node_id,x,y\nA,0,0\nB,0.001,0\nC,0,0.001\n"
+VALID_LINKS = b"link_id,from,to,length_m,shape_points\nL1,A,B,,\nL2,B,C,,0.0005 0.0005\n"
+FUZZ_BYTES = st.one_of(st.binary(max_size=64), st.text(max_size=32).map(str.encode))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=16,
+)
+
+
+def raises_only_cityform_errors(load, *args):
+    try:
+        load(*args)
+    except CityformError:
+        pass
+
+
+class TestLoaderFuzz:
+    """Whatever the input files hold, the loaders fail only with CityformError."""
+
+    @given(FUZZ_BYTES, FUZZ_BYTES, st.sampled_from(["geographic", "planar"]))
+    @settings(max_examples=200, deadline=None)
+    def test_graph_files_with_appended_bytes(self, node_tail, link_tail, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            nodes, links = Path(tmp, "nodes.csv"), Path(tmp, "links.csv")
+            nodes.write_bytes(VALID_NODES + node_tail)
+            links.write_bytes(VALID_LINKS + link_tail)
+            raises_only_cityform_errors(load_graph, str(nodes), str(links), mode)
+
+    @given(JSON_TREES, st.sampled_from(["document", "Polygon", "MultiPolygon"]))
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_files_with_random_json(self, tree, place):
+        # The tree is the whole document, or the coordinates of one geometry.
+        if place == "document":
+            doc = tree
+        else:
+            geometry = {"type": place, "coordinates": tree}
+            doc = {
+                "type": "FeatureCollection",
+                "features": [{"type": "Feature", "properties": {"name": "a"}, "geometry": geometry}],
+            }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "b.geojson")
+            path.write_text(json.dumps(doc))
+            raises_only_cityform_errors(load_boundaries, str(path))

@@ -40,7 +40,6 @@ class TestDegreeProfile:
         city = make_city({"A": (0, 0), "B": (100, 0)}, [("A", "B")])
         profile = degree_profile(city)
         assert profile.proportions_out == {"0": 0.5, "1": 0.5, "2": 0, "3": 0, "4": 0, "5+": 0}
-        assert profile.proportions_in == {"0": 0.5, "1": 0.5, "2": 0, "3": 0, "4": 0, "5+": 0}
         assert profile.pct_nodes_in_ne_out == 1.0
 
     def test_grid_5x5(self):
@@ -56,7 +55,6 @@ class TestDegreeProfile:
             city = random_directed_city(rng, max_nodes=20)
             profile = degree_profile(city)
             assert sum(profile.proportions_out.values()) == pytest.approx(1.0, abs=1e-9)
-            assert sum(profile.proportions_in.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_in_total_equals_out_total_equals_links(self):
         rng = random.Random(6)
@@ -138,7 +136,6 @@ class TestGeometricSummaries:
     def test_grid_3x3(self):
         city = make_grid_city(3, 3, 100.0, area_km2=0.04)
         summary = geometric_summaries(city)
-        assert summary.undirected_edge_count == 12
         assert summary.link_node_ratio == pytest.approx(12 / 9)
         assert summary.mean_link_length_m == pytest.approx(100.0)
         assert summary.network_density_km_per_km2 == pytest.approx(1.2 / 0.04)
@@ -179,5 +176,5 @@ def test_topo_metrics_bundles_everything():
     city = make_grid_city(4, 4, 100.0)
     metrics = topo_metrics(city)
     assert metrics.degree_profile.proportions_out["2"] == pytest.approx(4 / 16)
-    assert metrics.link_node_ratio == pytest.approx(24 / 16)
+    assert metrics.geometry.link_node_ratio == pytest.approx(24 / 16)
     assert metrics.centrality.median_normalized_bc > 0.0
