@@ -9,7 +9,7 @@ Silhouette / Davies-Bouldin evaluation.
 
 __version__ = "0.1.0"
 
-from .clustering import ClusteringResult, ElbowCurve, davies_bouldin, elbow, kmeans, silhouette
+from .clustering import ClusteringResult, davies_bouldin, elbow, kmeans, silhouette
 from .errors import (
     CityformError,
     DataError,
@@ -33,7 +33,6 @@ from .features import (
 from .geometry import (
     NodePattern,
     PatternCounts,
-    angle,
     categorize,
     classify_pattern,
     link_bearing,
@@ -84,7 +83,6 @@ __all__ = [
     "DegenerateGeometryError",
     "DegreeProfile",
     "ENHANCED_FEATURES",
-    "ElbowCurve",
     "EmptyCityError",
     "FactorModel",
     "FeatureMatrix",
@@ -96,7 +94,6 @@ __all__ = [
     "RoadNode",
     "TopoMetrics",
     "ValidationError",
-    "angle",
     "assemble_features",
     "bearing_histogram",
     "betweenness",

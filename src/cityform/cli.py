@@ -19,13 +19,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 from . import __version__
 from .clustering import elbow, kmeans
-from .errors import CityformError, DataError, ValidationError
+from .errors import DataError, ValidationError
 from .features import (
     DEFAULT_DOMINANT_THRESHOLD,
     FEATURE_MODES,
@@ -41,7 +41,7 @@ from .features import (
     zscore,
 )
 from .geometry import DEFAULT_TAU_DEG, node_patterns, pattern_counts
-from .graph import CityNetwork, clip_to_city, load_boundaries, load_graph
+from .graph import LINKS_HEADER, NODES_HEADER, CityNetwork, clip_to_city, load_boundaries, load_graph
 from .reduction import extract_factors
 from .synth import ARCHETYPES, city_boundary, corpus_specs, generate
 from .topology import topo_metrics
@@ -194,12 +194,14 @@ class _Run:
 
     @cached_property
     def matrix(self):
-        bundles = [
-            CityMetrics(city.city_name, topo, patterns, bearings)
-            for city, topo, patterns, bearings in zip(
-                self.cities, self.topo, self.patterns, self.bearings
-            )
-        ]
+        bundles = [CityMetrics(city.city_name, topo) for city, topo in zip(self.cities, self.topo)]
+        # Baseline features read neither patterns nor bearings, so only
+        # enhanced runs compute them here.
+        if self.config.feature_mode == "enhanced":
+            bundles = [
+                replace(bundle, patterns=patterns, bearings=bearings)
+                for bundle, patterns, bearings in zip(bundles, self.patterns, self.bearings)
+            ]
         matrix = assemble_features(bundles, self.config.feature_mode)
         return drop_features(matrix, self.config.drop) if self.config.drop else matrix
 
@@ -230,16 +232,16 @@ def _elbow_rows(run: _Run) -> list[list]:
     lo, hi = run.config.k_range if run.config.k_range else (1, min(10, n_cities))
     ks = range(lo, min(hi, n_cities) + 1)
     curve = elbow(run.factors.scores, ks, seed=run.config.seed, restarts=run.config.restarts)
-    return [[k, inertia] for k, inertia in curve.entries]
+    return [[k, inertia] for k, inertia in curve]
 
 
 def _evaluation(run: _Run) -> dict:
-    result = run.clustering
+    config, result = run.config, run.clustering
     return {
-        run.config.feature_mode: {
-            "k": result.k,
-            "seed": result.seed,
-            "restarts": result.restarts,
+        config.feature_mode: {
+            "k": config.k,
+            "seed": config.seed,
+            "restarts": config.restarts,
             "inertia": result.inertia,
             "silhouette": _finite_or_none(result.silhouette),
             "davies_bouldin": _finite_or_none(result.davies_bouldin),
@@ -391,13 +393,8 @@ def write_corpus(
         )
 
     written: list[Path] = []
-    _write_csv(out / "nodes.csv", ["node_id", "x", "y"], node_rows, written)
-    _write_csv(
-        out / "links.csv",
-        ["link_id", "from", "to", "length_m", "shape_points"],
-        link_rows,
-        written,
-    )
+    _write_csv(out / "nodes.csv", NODES_HEADER, node_rows, written)
+    _write_csv(out / "links.csv", LINKS_HEADER, link_rows, written)
     _write_json(
         out / "boundaries.geojson",
         {"type": "FeatureCollection", "features": features},
@@ -524,10 +521,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except CityformError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -21,20 +21,12 @@ MAX_LLOYD_ITERATIONS = 300
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    k: int
     labels: np.ndarray
     centroids: np.ndarray
     inertia: float
     silhouette: float | None
     davies_bouldin: float | None
-    seed: int
-    restarts: int
     inertia_history: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ElbowCurve:
-    entries: tuple[tuple[int, float], ...]
 
 
 def _as_points(scores) -> np.ndarray:
@@ -113,14 +105,11 @@ def kmeans(scores, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResul
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
     labels, centroids, inertia, history = _best_fit(points, k, seed, restarts)
     return ClusteringResult(
-        k=k,
         labels=labels,
         centroids=centroids,
         inertia=inertia,
         silhouette=silhouette(points, labels) if k >= 2 else None,
         davies_bouldin=davies_bouldin(points, labels) if k >= 2 else None,
-        seed=seed,
-        restarts=restarts,
         inertia_history=tuple(history),
     )
 
@@ -188,8 +177,8 @@ def davies_bouldin(scores, labels) -> float:
     return total / k
 
 
-def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> ElbowCurve:
-    """Best inertia per k over a range of cluster counts.
+def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int, float], ...]:
+    """``(k, best inertia)`` for each k over a range of cluster counts.
 
     Besides the usual restarts, each k > min(k_range) also tries a warm
     start built from the previous k's best centroids plus the point
@@ -220,4 +209,4 @@ def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> ElbowCurve:
                 labels, centroids, inertia = w_labels, w_centroids, w_inertia
         entries.append((k, float(inertia)))
         prev = (labels, centroids)
-    return ElbowCurve(entries=tuple(entries))
+    return tuple(entries)

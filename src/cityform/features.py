@@ -188,6 +188,7 @@ def drop_features(matrix: FeatureMatrix, names: Sequence[str]) -> FeatureMatrix:
         feature_names=tuple(matrix.feature_names[i] for i in keep),
         values=matrix.values[:, keep],
         normalization=matrix.normalization,
+        constant_columns=tuple(n for n in matrix.constant_columns if n not in names),
     )
 
 

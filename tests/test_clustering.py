@@ -184,7 +184,7 @@ class TestElbow:
     def test_three_blob_drop_ratio(self):
         points = self.blobs()
         curve = elbow(points, range(1, 6), seed=0, restarts=5)
-        inertia = dict(curve.entries)
+        inertia = dict(curve)
         drop_to_three = inertia[2] - inertia[3]
         drop_to_four = inertia[3] - inertia[4]
         assert drop_to_three / max(drop_to_four, 1e-12) > 5.0
@@ -192,25 +192,25 @@ class TestElbow:
     def test_k_equals_n(self):
         points = np.array([[0.0], [1.0], [2.0]])
         curve = elbow(points, [3], seed=0, restarts=2)
-        assert curve.entries[0][1] == pytest.approx(0.0, abs=1e-12)
+        assert curve[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_k_one_total_deviation(self):
         points = self.blobs()
         curve = elbow(points, [1], seed=0, restarts=2)
         expected = ((points - points.mean(axis=0)) ** 2).sum()
-        assert curve.entries[0][1] == pytest.approx(expected, rel=1e-12)
+        assert curve[0][1] == pytest.approx(expected, rel=1e-12)
 
     def test_non_increasing(self):
         points = self.blobs()
         curve = elbow(points, range(1, 11), seed=4, restarts=2)
-        values = [v for _, v in curve.entries]
+        values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
 
     def test_non_increasing_over_gapped_range(self):
         points = self.blobs()
         curve = elbow(points, [1, 3, 6, 10], seed=2, restarts=1)
-        values = [v for _, v in curve.entries]
+        values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
 

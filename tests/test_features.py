@@ -170,6 +170,12 @@ class TestZscore:
         assert out.values[:, 0] == pytest.approx([0.0, 0.0, 0.0])
         assert out.constant_columns == ("f0",)
 
+    def test_drop_keeps_flags_of_remaining_columns(self):
+        z = zscore(self.matrix([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0], [7.0, 7.0, 7.0]]))
+        assert z.constant_columns == ("f0", "f2")
+        assert drop_features(z, ["f1"]).constant_columns == ("f0", "f2")
+        assert drop_features(z, ["f0"]).constant_columns == ("f2",)
+
     def test_population_standard_deviation(self):
         out = zscore(self.matrix([[1.0, 2.0, 3.0]]))
         assert out.values[:, 0] == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cityform.errors import DegenerateGeometryError, ValidationError
 from cityform.geometry import (
-    angle,
     categorize,
     classify_pattern,
     link_bearing,
@@ -20,20 +19,20 @@ from cityform.graph import GeoPoint
 from cityform.synth import ArchetypeSpec, generate
 from cityform.geometry import outgoing_ray
 
-from helpers import make_city, make_grid_city, rotate_city, rotation_angle_oracle
+from helpers import make_city, make_grid_city, ray_gaps, rotate_city, rotation_angle_oracle
 
 P = GeoPoint
 
 
 class TestAngle:
-    def test_quarter_turn_ccw(self):
-        assert angle(P(1, 0), P(0, 0), P(0, 1)) == 90.0
+    """``node_angles`` at a node with two outgoing links, against exact values and the oracle."""
 
-    def test_negative_branch_adds_360(self):
-        assert angle(P(0, 1), P(0, 0), P(1, 0)) == 270.0
+    def test_quarter_turn(self):
+        assert sorted(ray_gaps(P(1, 0), P(0, 0), P(0, 1))) == [90.0, 270.0]
+        assert sorted(ray_gaps(P(0, 1), P(0, 0), P(1, 0))) == [90.0, 270.0]
 
     def test_collinear(self):
-        assert angle(P(1, 0), P(0, 0), P(-1, 0)) == 180.0
+        assert sorted(ray_gaps(P(1, 0), P(0, 0), P(-1, 0))) == [180.0, 180.0]
 
     def test_matches_rotation_oracle(self):
         rng = random.Random(1)
@@ -43,13 +42,9 @@ class TestAngle:
             b = (o[0] + rng.uniform(-10, 10), o[1] + rng.uniform(-10, 10))
             if math.dist(a, o) < 1e-3 or math.dist(b, o) < 1e-3:
                 continue
-            got = angle(P(*a), P(*o), P(*b))
             want = rotation_angle_oracle(a, o, b)
-            assert abs((got - want + 180.0) % 360.0 - 180.0) < 1e-9
-
-    def test_coincident_raises(self):
-        with pytest.raises(DegenerateGeometryError):
-            angle(P(0, 0), P(0, 0), P(1, 1))
+            got = sorted(ray_gaps(a, o, b))
+            assert got == pytest.approx(sorted([want, 360.0 - want]), abs=1e-9)
 
     def test_geographic_projection_scales_longitude(self):
         # At 60N one degree of longitude is half a degree of latitude, so a
@@ -58,7 +53,8 @@ class TestAngle:
         east = P(0.01, 60.0)
         diag = P(0.01, 60.01)
         expected = math.degrees(math.atan2(0.01, 0.01 * math.cos(math.radians(60.0))))
-        assert angle(east, o, diag, mode="geographic") == pytest.approx(expected, abs=1e-6)
+        got = sorted(ray_gaps(east, o, diag, mode="geographic"))
+        assert got == pytest.approx([expected, 360.0 - expected], abs=1e-6)
 
     @given(
         st.floats(-100, 100), st.floats(-100, 100),
@@ -70,8 +66,8 @@ class TestAngle:
         a, b = P(ax, ay), P(bx, by)
         if math.dist(a, o) < 1e-6 or math.dist(b, o) < 1e-6:
             return
-        total = angle(a, o, b) + angle(b, o, a)
-        assert min(total % 360.0, 360.0 - total % 360.0) < 1e-9
+        forward, reverse = ray_gaps(a, o, b)
+        assert abs(forward + reverse - 360.0) < 1e-9
 
 
 class TestCategorize:
