@@ -27,9 +27,13 @@ P = GeoPoint
 class TestAngle:
     """``node_angles`` at a node with two outgoing links, against exact values and the oracle."""
 
-    def test_quarter_turn(self):
-        assert sorted(ray_gaps(P(1, 0), P(0, 0), P(0, 1))) == [90.0, 270.0]
-        assert sorted(ray_gaps(P(0, 1), P(0, 0), P(1, 0))) == [90.0, 270.0]
+    def test_quarter_turn_ccw(self):
+        assert ray_gaps(P(1, 0), P(0, 0), P(0, 1)) == [90.0, 270.0]
+
+    def test_negative_branch_adds_360(self):
+        # Listing the links in the other order gives the same gaps: the
+        # wrap-around gap closes the circle by adding 360 to the difference.
+        assert ray_gaps(P(0, 1), P(0, 0), P(1, 0)) == [90.0, 270.0]
 
     def test_collinear(self):
         assert sorted(ray_gaps(P(1, 0), P(0, 0), P(-1, 0))) == [180.0, 180.0]
