@@ -21,10 +21,10 @@ from .features import (
     BASELINE_FEATURES,
     ENHANCED_FEATURES,
     BearingHistogram,
-    CityMetrics,
     FeatureMatrix,
     assemble_features,
     bearing_histogram,
+    bearing_values,
     drop_features,
     pearson_report,
     rotate_bins,
@@ -32,7 +32,6 @@ from .features import (
 )
 from .geometry import (
     NodePattern,
-    PatternCounts,
     categorize,
     classify_pattern,
     link_bearing,
@@ -61,7 +60,6 @@ from .synth import ArchetypeSpec, city_boundary, generate
 from .topology import (
     CentralitySummary,
     DegreeProfile,
-    TopoMetrics,
     betweenness,
     degree_profile,
     geometric_summaries,
@@ -75,7 +73,6 @@ __all__ = [
     "BearingHistogram",
     "CentralitySummary",
     "CityBoundary",
-    "CityMetrics",
     "CityNetwork",
     "CityformError",
     "ClusteringResult",
@@ -88,14 +85,13 @@ __all__ = [
     "FeatureMatrix",
     "GeoPoint",
     "NodePattern",
-    "PatternCounts",
     "RoadGraph",
     "RoadLink",
     "RoadNode",
-    "TopoMetrics",
     "ValidationError",
     "assemble_features",
     "bearing_histogram",
+    "bearing_values",
     "betweenness",
     "boundary_area_km2",
     "categorize",

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -29,22 +29,18 @@ from .errors import DataError, ValidationError
 from .features import (
     DEFAULT_DOMINANT_THRESHOLD,
     FEATURE_MODES,
-    METRIC_COLUMNS,
-    PATTERN_COLUMNS,
-    CityMetrics,
     assemble_features,
     bearing_histogram,
+    bearing_values,
     drop_features,
-    metric_values,
-    pattern_values,
     pearson_report,
     zscore,
 )
-from .geometry import DEFAULT_TAU_DEG, node_patterns, pattern_counts
+from .geometry import DEFAULT_TAU_DEG, PATTERN_COLUMNS, node_patterns, pattern_counts
 from .graph import LINKS_HEADER, NODES_HEADER, CityNetwork, clip_to_city, load_boundaries, load_graph
 from .reduction import extract_factors
 from .synth import ARCHETYPES, city_boundary, corpus_specs, generate
-from .topology import topo_metrics
+from .topology import METRIC_COLUMNS, topo_metrics
 
 _MODE_NAMES = {"geo": "geographic", "planar": "planar"}
 
@@ -194,15 +190,16 @@ class _Run:
 
     @cached_property
     def matrix(self):
-        bundles = [CityMetrics(city.city_name, topo) for city, topo in zip(self.cities, self.topo)]
+        rows = self.topo
         # Baseline features read neither patterns nor bearings, so only
         # enhanced runs compute them here.
         if self.config.feature_mode == "enhanced":
-            bundles = [
-                replace(bundle, patterns=patterns, bearings=bearings)
-                for bundle, patterns, bearings in zip(bundles, self.patterns, self.bearings)
+            rows = [
+                {**topo, **patterns, **bearing_values(bearings)}
+                for topo, patterns, bearings in zip(rows, self.patterns, self.bearings)
             ]
-        matrix = assemble_features(bundles, self.config.feature_mode)
+        names = [city.city_name for city in self.cities]
+        matrix = assemble_features(names, rows, self.config.feature_mode)
         return drop_features(matrix, self.config.drop) if self.config.drop else matrix
 
     @cached_property
@@ -260,11 +257,11 @@ _CONTENTS = {
     ),
     "metrics.csv": lambda run: (
         METRICS_HEADER,
-        _named_rows(run.cities, map(metric_values, run.topo), METRIC_COLUMNS),
+        _named_rows(run.cities, run.topo, METRIC_COLUMNS),
     ),
     "patterns.csv": lambda run: (
         PATTERNS_HEADER,
-        _named_rows(run.cities, map(pattern_values, run.patterns), PATTERN_COLUMNS),
+        _named_rows(run.cities, run.patterns, PATTERN_COLUMNS),
     ),
     "patterns_detail.csv": lambda run: (
         ["city", "node_id", "degree", "angles_sorted", "type"],
@@ -320,6 +317,10 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     if unknown:
         raise ValidationError(f"unknown artifacts: {unknown}")
     run = _Run(config)
+    # k-means needs no more clusters than cities; say so before any
+    # betweenness is computed.
+    if {"clusters.csv", "evaluation.json"} & set(artifacts) and config.k > len(run.cities):
+        raise ValidationError(f"k must lie in 1..{len(run.cities)}, got {config.k}")
     out = Path(config.out_dir)
     written: list[Path] = []
     try:

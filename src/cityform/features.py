@@ -17,46 +17,26 @@ Feature matrices come in two layouts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .geometry import OTHER_PATTERN, PATTERN_TYPES, PatternCounts, link_bearing
+from .geometry import OTHER_PATTERN, PATTERN_COLUMNS, link_bearing
 from .graph import CityNetwork
-from .topology import DEGREE_CLASSES, TopoMetrics
+from .topology import DEGREE_FEATURES
 
 BIN_COUNT = 18
 BIN_WIDTH_DEG = 360.0 / BIN_COUNT
 DEFAULT_DOMINANT_THRESHOLD = 0.10
 
-DEGREE_FEATURES = tuple(f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CLASSES)
-# metrics.csv columns after the degree shares, each with its TopoMetrics
-# attribute path; the baseline features reorder a subset.
-_METRIC_ATTRS = {
-    "median_bc": "centrality.median_normalized_bc",
-    "link_node_ratio": "geometry.link_node_ratio",
-    "density_km_per_km2": "geometry.network_density_km_per_km2",
-    "mean_link_length_m": "geometry.mean_link_length_m",
-    "pct_in_ne_out": "degree_profile.pct_nodes_in_ne_out",
-}
-METRIC_COLUMNS = DEGREE_FEATURES + tuple(_METRIC_ATTRS)
 BASELINE_FEATURES = DEGREE_FEATURES + (
     "median_bc",
     "mean_link_length_m",
     "density_km_per_km2",
     "link_node_ratio",
 )
-
-
-def _pattern_column(degree: int, code: str) -> str:
-    return f"d{degree}_{code}" if code == OTHER_PATTERN else f"d{degree}_t{code}"
-
-
-_PATTERN_CODES = PATTERN_TYPES + (OTHER_PATTERN,)
-# Column order of patterns.csv; the features leave out the "other" shares.
-PATTERN_COLUMNS = tuple(_pattern_column(d, code) for d in (3, 4) for code in _PATTERN_CODES)
+# The features leave out the "other" pattern shares.
 PATTERN_FEATURES = tuple(c for c in PATTERN_COLUMNS if not c.endswith(OTHER_PATTERN))
 BEARING_FEATURES = tuple(f"bearing_bin_{i}" for i in range(1, BIN_COUNT + 1)) + (
     "dominant_bin_count",
@@ -113,16 +93,6 @@ def bearing_histogram(
 
 
 @dataclass(frozen=True)
-class CityMetrics:
-    """Everything one city contributes to the feature matrix."""
-
-    city_name: str
-    topo: TopoMetrics
-    patterns: PatternCounts | None = None
-    bearings: BearingHistogram | None = None
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     cities: tuple[str, ...]
     feature_names: tuple[str, ...]
@@ -131,47 +101,35 @@ class FeatureMatrix:
     constant_columns: tuple[str, ...] = ()
 
 
-def metric_values(topo: TopoMetrics) -> dict[str, float]:
-    """One city's topological metrics keyed by their ``METRIC_COLUMNS`` name."""
-    shares = topo.degree_profile.proportions_out
-    values = {name: shares[c] for name, c in zip(DEGREE_FEATURES, DEGREE_CLASSES)}
-    values.update((name, attrgetter(path)(topo)) for name, path in _METRIC_ATTRS.items())
-    return values
+def bearing_values(histogram: BearingHistogram) -> dict[str, float]:
+    """One city's bearing features keyed by their ``BEARING_FEATURES`` name."""
+    return dict(zip(BEARING_FEATURES, (*histogram.bins, float(histogram.dominant_bin_count))))
 
 
-def pattern_values(counts: PatternCounts) -> dict[str, float]:
-    """One city's pattern shares keyed by their ``PATTERN_COLUMNS`` name."""
-    props = {3: counts.d3_props, 4: counts.d4_props}
-    return {_pattern_column(d, code): props[d][code] for d in (3, 4) for code in _PATTERN_CODES}
+def assemble_features(
+    cities: Sequence[str], rows: Sequence[Mapping[str, float]], mode: str = "baseline"
+) -> FeatureMatrix:
+    """Fixed-order cities x features matrix, unnormalized.
 
-
-def assemble_features(bundles: Sequence[CityMetrics], mode: str = "baseline") -> FeatureMatrix:
-    """Fixed-order cities x features matrix, unnormalized."""
+    ``rows`` holds one mapping from column name to value per city: the
+    ``topo_metrics`` columns, plus the ``pattern_counts`` and
+    ``bearing_values`` columns for the enhanced mode. Other keys are ignored.
+    """
     if mode not in FEATURE_MODES:
         raise ValidationError(f"unknown feature mode {mode!r}")
-    if not bundles:
+    if not cities:
         raise DataError("empty corpus: no cities to assemble")
-    rows = []
-    for bundle in bundles:
-        if bundle.topo is None:
-            raise DataError(f"city {bundle.city_name!r} is missing topology metrics")
-        metrics = metric_values(bundle.topo)
-        row = [metrics[name] for name in BASELINE_FEATURES]
-        if mode == "enhanced":
-            if bundle.patterns is None:
-                raise DataError(f"city {bundle.city_name!r} is missing pattern counts")
-            if bundle.bearings is None:
-                raise DataError(f"city {bundle.city_name!r} is missing a bearing histogram")
-            patterns = pattern_values(bundle.patterns)
-            row += [patterns[name] for name in PATTERN_FEATURES]
-            row += list(bundle.bearings.bins)
-            row.append(float(bundle.bearings.dominant_bin_count))
-        rows.append(row)
+    if len(rows) != len(cities):
+        raise ValidationError(f"{len(cities)} cities but {len(rows)} feature rows")
     names = BASELINE_FEATURES if mode == "baseline" else ENHANCED_FEATURES
+    values = []
+    for city, row in zip(cities, rows):
+        missing = [name for name in names if name not in row]
+        if missing:
+            raise DataError(f"city {city!r} is missing features: {', '.join(missing)}")
+        values.append([row[name] for name in names])
     return FeatureMatrix(
-        cities=tuple(b.city_name for b in bundles),
-        feature_names=names,
-        values=np.array(rows, dtype=float),
+        cities=tuple(cities), feature_names=names, values=np.array(values, dtype=float)
     )
 
 

@@ -3,9 +3,11 @@
 Angles at a node come from its *outgoing* links only. Each link's initial
 direction is taken toward its first shape point when one exists, so curved
 streets contribute their true departure direction rather than the chord to
-the far node. In geographic mode, neighbor points are first projected onto
-a local tangent plane at the vertex (x scaled by cos(latitude)), which
-keeps angle error sub-meter at street scale without a projection library.
+the far node. Compass bearings come from the same direction. In
+geographic mode, neighbor points are first projected onto a local tangent
+plane at the vertex (longitude difference taken the short way round the
+antimeridian, then scaled by cos(latitude)), which keeps angle error
+sub-meter at street scale without a projection library.
 
 Classification buckets each angle as acute / right / obtuse / straight /
 reflex within a tolerance band ``tau`` (degrees), then maps the multiset of
@@ -33,6 +35,10 @@ REFLEX = "reflex"
 
 PATTERN_TYPES = ("1", "2", "3", "4", "5", "6", "7")
 OTHER_PATTERN = "other"
+# patterns.csv columns, one row per city from ``pattern_counts``: for
+# degree 3, then 4, the share of each type code and of "other" nodes.
+_PATTERN_TAGS = {code: f"t{code}" for code in PATTERN_TYPES} | {OTHER_PATTERN: OTHER_PATTERN}
+PATTERN_COLUMNS = tuple(f"d{degree}_{tag}" for degree in (3, 4) for tag in _PATTERN_TAGS.values())
 
 # Two directions closer than this (in coordinate units) are coincident.
 _COINCIDENT_EPS = 1e-12
@@ -61,6 +67,12 @@ def _local_xy(p: GeoPoint, origin: GeoPoint, mode: str) -> tuple[float, float]:
     dx = p.x - origin.x
     dy = p.y - origin.y
     if mode == "geographic":
+        # The short way round the antimeridian. A modulo would change the
+        # last bits of every dx.
+        if dx > 180.0:
+            dx -= 360.0
+        elif dx < -180.0:
+            dx += 360.0
         dx *= math.cos(math.radians(origin.y))
     return dx, dy
 
@@ -89,16 +101,7 @@ def _initial_direction_deg(link: RoadLink, graph: RoadGraph) -> float:
 
 def link_bearing(link: RoadLink, graph: RoadGraph) -> float:
     """Compass bearing (0 = north, clockwise) of the link's initial direction."""
-    origin = graph.nodes[link.from_node].location
-    target = outgoing_ray(link, graph)
-    if graph.mode == "planar":
-        return math.degrees(math.atan2(target.x - origin.x, target.y - origin.y)) % 360.0
-    lat1 = math.radians(origin.y)
-    lat2 = math.radians(target.y)
-    dlon = math.radians(target.x - origin.x)
-    y = math.sin(dlon) * math.cos(lat2)
-    x = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon)
-    return math.degrees(math.atan2(y, x)) % 360.0
+    return (90.0 - _initial_direction_deg(link, graph)) % 360.0
 
 
 def node_angles(node: RoadNode, city: CityNetwork) -> list[float]:
@@ -187,19 +190,6 @@ class NodePattern:
     angles: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PatternCounts:
-    """Per-type fractions of degree-3 and degree-4 nodes.
-
-    Keys are "1".."7" plus "other" (nodes whose geometry was too degenerate
-    to angle). Each map sums to 1 when its node set is non-empty and is
-    all-zero otherwise.
-    """
-
-    d3_props: dict[str, float]
-    d4_props: dict[str, float]
-
-
 def node_patterns(city: CityNetwork, tau: float = DEFAULT_TAU_DEG) -> list[NodePattern]:
     """Classify every node with out-degree exactly 3 or 4."""
     _check_tau(tau)
@@ -218,19 +208,20 @@ def node_patterns(city: CityNetwork, tau: float = DEFAULT_TAU_DEG) -> list[NodeP
     return patterns
 
 
-def pattern_counts(city: CityNetwork, tau: float = DEFAULT_TAU_DEG) -> PatternCounts:
-    """Type-code proportions over the city's degree-3 and degree-4 nodes."""
-    keys = PATTERN_TYPES + (OTHER_PATTERN,)
-    tallies = {3: {k: 0 for k in keys}, 4: {k: 0 for k in keys}}
-    totals = {3: 0, 4: 0}
+def pattern_counts(city: CityNetwork, tau: float = DEFAULT_TAU_DEG) -> dict[str, float]:
+    """Type-code shares of the city's degree-3 and degree-4 nodes.
+
+    Keyed by ``PATTERN_COLUMNS``: ``d3_t1``..``d3_t7`` and ``d3_other``
+    (nodes whose geometry was too degenerate to angle), then the same for
+    degree 4. Each degree's shares sum to 1 when it has nodes and are all
+    zero otherwise.
+    """
+    tallies = {3: Counter(), 4: Counter()}
     for pattern in node_patterns(city, tau):
         tallies[pattern.degree][pattern.type_code] += 1
-        totals[pattern.degree] += 1
-
-    def proportions(degree: int) -> dict[str, float]:
-        total = totals[degree]
-        if total == 0:
-            return {k: 0.0 for k in keys}
-        return {k: tallies[degree][k] / total for k in keys}
-
-    return PatternCounts(d3_props=proportions(3), d4_props=proportions(4))
+    shares = {}
+    for degree, tally in tallies.items():
+        total = sum(tally.values())
+        for code, tag in _PATTERN_TAGS.items():
+            shares[f"d{degree}_{tag}"] = tally[code] / total if total else 0.0
+    return shares

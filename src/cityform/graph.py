@@ -155,14 +155,17 @@ def _coordinate(value, name: str) -> float:
         raise DataError(
             f"boundary ring for {name!r} has a coordinate of type {type(value).__name__}"
         )
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataError(f"boundary ring for {name!r} has a non-finite vertex")
+    return value
 
 
 def _validated_ring(raw: Iterable[tuple[float, ...]], name: str) -> Ring:
-    # A GeoJSON position may carry an altitude after x and y; it is ignored.
-    pts = [GeoPoint(_coordinate(x, name), _coordinate(y, name)) for x, y, *_ in raw]
-    if not all(math.isfinite(c) for p in pts for c in p):
-        raise DataError(f"boundary ring for {name!r} has a non-finite vertex")
+    # A GeoJSON position may carry an altitude after x and y. Every member
+    # must be a finite number; the altitude is then ignored.
+    positions = ([_coordinate(c, name) for c in position] for position in raw)
+    pts = [GeoPoint(x, y) for x, y, *_ in positions]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(pts) < 3:

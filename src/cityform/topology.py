@@ -17,6 +17,15 @@ from .errors import EmptyCityError
 from .graph import CityNetwork
 
 DEGREE_CLASSES = ("1", "2", "3", "4", "5+")
+DEGREE_FEATURES = tuple(f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CLASSES)
+# metrics.csv columns, one row per city from ``topo_metrics``.
+METRIC_COLUMNS = DEGREE_FEATURES + (
+    "median_bc",
+    "link_node_ratio",
+    "density_km_per_km2",
+    "mean_link_length_m",
+    "pct_in_ne_out",
+)
 
 # Relative tolerance for "two path lengths are equal" during shortest-path
 # counting; keeps tie detection stable under float summation order.
@@ -52,13 +61,6 @@ class GeometrySummary:
     link_node_ratio: float
     network_density_km_per_km2: float
     mean_link_length_m: float
-
-
-@dataclass(frozen=True)
-class TopoMetrics:
-    degree_profile: DegreeProfile
-    centrality: CentralitySummary
-    geometry: GeometrySummary
 
 
 def _degree_class(degree: int) -> str:
@@ -204,10 +206,16 @@ def geometric_summaries(city: CityNetwork) -> GeometrySummary:
     )
 
 
-def topo_metrics(city: CityNetwork) -> TopoMetrics:
-    """All topological metrics for one city."""
-    return TopoMetrics(
-        degree_profile=degree_profile(city),
-        centrality=betweenness(city),
-        geometry=geometric_summaries(city),
-    )
+def topo_metrics(city: CityNetwork) -> dict[str, float]:
+    """All topological metrics for one city, keyed by ``METRIC_COLUMNS``."""
+    degrees = degree_profile(city)
+    centrality = betweenness(city)
+    geometry = geometric_summaries(city)
+    return {
+        **{name: degrees.proportions_out[c] for name, c in zip(DEGREE_FEATURES, DEGREE_CLASSES)},
+        "median_bc": centrality.median_normalized_bc,
+        "link_node_ratio": geometry.link_node_ratio,
+        "density_km_per_km2": geometry.network_density_km_per_km2,
+        "mean_link_length_m": geometry.mean_link_length_m,
+        "pct_in_ne_out": degrees.pct_nodes_in_ne_out,
+    }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cityform.clustering import davies_bouldin, kmeans, silhouette
-from cityform.features import CityMetrics, assemble_features, bearing_histogram, zscore
+from cityform.features import assemble_features, bearing_histogram, bearing_values, zscore
 from cityform.geometry import classify_pattern, pattern_counts
 from cityform.reduction import extract_factors
 from cityform.synth import corpus_specs, generate
@@ -76,7 +76,7 @@ def test_criterion_2_pattern_classifier():
     started = time.perf_counter()
     grid = make_grid_city(10, 10, 100.0)
     counts = pattern_counts(grid)
-    grid_ok = counts.d4_props["1"] == 1.0 and counts.d3_props["1"] == 1.0
+    grid_ok = counts["d4_t1"] == 1.0 and counts["d3_t1"] == 1.0
     rng = random.Random(202)
     total = True
     for degree in (3, 4):
@@ -91,7 +91,7 @@ def test_criterion_2_pattern_classifier():
         2,
         "grid nodes all type 1; classifier total on random partitions",
         grid_ok and total and elapsed < 1.0,
-        f"d4 t1 {counts.d4_props['1']:.2f}, d3 t1 {counts.d3_props['1']:.2f}, {elapsed:.2f}s",
+        f"d4 t1 {counts['d4_t1']:.2f}, d3 t1 {counts['d3_t1']:.2f}, {elapsed:.2f}s",
     )
 
 
@@ -190,16 +190,17 @@ def test_criterion_6_bearing_invariance():
 
 def test_criterion_7_end_to_end_typology():
     started = time.perf_counter()
-    bundles, truth = [], []
+    names, rows, truth = [], [], []
     for name, spec in corpus_specs(10, seed=0):
         city = generate(spec, name=name)
-        bundles.append(
-            CityMetrics(name, topo_metrics(city), pattern_counts(city), bearing_histogram(city))
+        names.append(name)
+        rows.append(
+            {**topo_metrics(city), **pattern_counts(city), **bearing_values(bearing_histogram(city))}
         )
         truth.append(spec.kind)
 
     def cluster(mode):
-        matrix = zscore(assemble_features(bundles, mode))
+        matrix = zscore(assemble_features(names, rows, mode))
         model = extract_factors(matrix)
         return kmeans(model.scores, 3, seed=0, restarts=10)
 

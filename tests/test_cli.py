@@ -187,13 +187,18 @@ class TestPipeline:
             run_pipeline(self.config(root, tmp_path / "bad", tau=50.0))
         assert not (tmp_path / "bad").exists()
 
-    def test_partial_outputs_removed_on_error(self, corpus, tmp_path):
+    def test_partial_outputs_removed_on_error(self, corpus, tmp_path, monkeypatch):
         root, _ = corpus
-        # k larger than the city count fails after several artifacts exist.
+
+        def fail(*args, **kwargs):
+            # Several artifacts exist by the time k-means runs.
+            assert (tmp_path / "broken" / "factors.json").exists()
+            raise ValidationError("k-means failed")
+
+        monkeypatch.setattr("cityform.cli.kmeans", fail)
         with pytest.raises(ValidationError):
-            run_pipeline(self.config(root, tmp_path / "broken", k=99))
-        leftover = list((tmp_path / "broken").glob("*")) if (tmp_path / "broken").exists() else []
-        assert leftover == []
+            run_pipeline(self.config(root, tmp_path / "broken"))
+        assert list((tmp_path / "broken").glob("*")) == []
 
 
 class TestGeographicMode:
@@ -278,11 +283,43 @@ class TestExitCodes:
 class TestRunner:
     """Every subcommand goes through run_pipeline's lazy, self-cleaning runner."""
 
-    def test_subcommand_failure_removes_what_it_wrote(self, corpus, tmp_path):
+    def test_subcommand_failure_removes_what_it_wrote(self, corpus, tmp_path, monkeypatch):
         root, _ = corpus
-        # factors.json is written before k is checked against the city count.
-        assert main(["cluster", "--k", "99"] + io_args(root, tmp_path / "out")) == 2
+
+        def fail(*args, **kwargs):
+            assert (tmp_path / "out" / "factors.json").exists()
+            raise ValidationError("k-means failed")
+
+        monkeypatch.setattr("cityform.cli.kmeans", fail)
+        assert main(["cluster"] + io_args(root, tmp_path / "out")) == 2
         assert not (tmp_path / "out" / "factors.json").exists()
+
+    def test_k_above_city_count_fails_before_betweenness(self, corpus, tmp_path, monkeypatch, capsys):
+        def refuse(city):
+            raise AssertionError("computed betweenness for a k no city count allows")
+
+        monkeypatch.setattr("cityform.topology.betweenness", refuse)
+        root, names = corpus
+        assert main(["cluster", "--k", "99"] + io_args(root, tmp_path / "out")) == 2
+        assert f"k must lie in 1..{len(names)}, got 99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_city_is_skipped_with_a_warning(self, corpus, tmp_path, capsys):
+        root, names = corpus
+        doc = json.loads((root / "boundaries.geojson").read_text())
+        doc["features"].append(feature("nowhere", FAR_SQUARE))
+        copy = corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
+        assert main(["ingest"] + io_args(copy, tmp_path / "out")) == 0
+        assert "city 'nowhere' has no nodes inside its boundary; skipped" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "out" / "cities_summary.csv")
+        assert [row[0] for row in rows[1:]] == names
+
+    def test_every_city_empty_is_data_error(self, corpus, tmp_path, capsys):
+        doc = {"type": "FeatureCollection", "features": [feature("nowhere", FAR_SQUARE)]}
+        copy = corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
+        assert main(["ingest"] + io_args(copy, tmp_path / "out")) == 3
+        assert "no non-empty cities after clipping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_patterns_never_computes_betweenness(self, corpus, tmp_path, monkeypatch):
         def refuse(city):
@@ -329,6 +366,8 @@ def feature(name, coordinates):
 
 
 SQUARE = [[[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]]
+# Far from every node of the corpus.
+FAR_SQUARE = [[[x + 1e7, y + 1e7] for x, y in SQUARE[0]]]
 
 
 class TestBoundaryFaults:
@@ -392,6 +431,10 @@ def first_vertex(raw):
     return edit
 
 
+def boundaries_replaced(doc):
+    return lambda name, data: json.dumps(doc).encode() if name == "boundaries.geojson" else data
+
+
 def appended(target, extra):
     return lambda name, data: data + extra if name == target else data
 
@@ -405,6 +448,9 @@ class TestInputFaults:
             (first_vertex("[1" + "0" * 400 + ", 0.0]"), "'gridded_00'"),
             (first_vertex("[true, 0.0]"), "'gridded_00'"),
             (first_vertex('["1", 0.0]'), "'gridded_00'"),
+            (first_vertex('[0, 0, "x"]'), "'gridded_00'"),
+            (first_vertex("[1, 0, true]"), "'gridded_00'"),
+            (first_vertex("[1, 1, null]"), "'gridded_00'"),
             (appended("nodes.csv", b"x\xff,1,2\n"), "nodes.csv"),
             (appended("links.csv", b"x\xff,a,b,,\n"), "links.csv"),
             (
@@ -420,6 +466,7 @@ class TestInputFaults:
         ],
         ids=[
             "nan-vertex", "1e400-vertex", "400-digit-vertex", "bool-vertex", "string-vertex",
+            "string-altitude", "bool-altitude", "null-altitude",
             "0xff-nodes", "0xff-links",
             "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
         ],

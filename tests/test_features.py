@@ -10,10 +10,10 @@ from cityform.errors import DataError, ValidationError
 from cityform.features import (
     BASELINE_FEATURES,
     ENHANCED_FEATURES,
-    CityMetrics,
     FeatureMatrix,
     assemble_features,
     bearing_histogram,
+    bearing_values,
     drop_features,
     pearson_report,
     rotate_bins,
@@ -26,13 +26,11 @@ from cityform.topology import topo_metrics
 from helpers import make_city, make_grid_city, rotate_city
 
 
-def bundle_for(city, mode="enhanced"):
-    return CityMetrics(
-        city_name=city.city_name,
-        topo=topo_metrics(city),
-        patterns=pattern_counts(city) if mode == "enhanced" else None,
-        bearings=bearing_histogram(city) if mode == "enhanced" else None,
-    )
+def row_for(city, mode="enhanced"):
+    row = topo_metrics(city)
+    if mode == "enhanced":
+        row.update(pattern_counts(city), **bearing_values(bearing_histogram(city)))
+    return row
 
 
 class TestRotateBins:
@@ -116,30 +114,30 @@ class TestAssemble:
             out.append(make_grid_city(4 + i, 4, 100.0))
         return out
 
+    def rows(self, mode="enhanced"):
+        cities = self.cities()
+        return [c.city_name for c in cities], [row_for(c, mode) for c in cities]
+
     def test_baseline_shape(self):
-        bundles = [bundle_for(c, "baseline") for c in self.cities()]
-        matrix = assemble_features(bundles, "baseline")
+        matrix = assemble_features(*self.rows("baseline"), "baseline")
         assert matrix.values.shape == (3, 9)
         assert matrix.feature_names == BASELINE_FEATURES
 
     def test_enhanced_shape(self):
-        bundles = [bundle_for(c) for c in self.cities()]
-        matrix = assemble_features(bundles, "enhanced")
+        matrix = assemble_features(*self.rows(), "enhanced")
         assert matrix.values.shape == (3, 42)
         assert matrix.feature_names == ENHANCED_FEATURES
 
     def test_empty_corpus(self):
         with pytest.raises(DataError, match="empty corpus"):
-            assemble_features([], "baseline")
+            assemble_features([], [], "baseline")
 
     def test_missing_metric_names_city(self):
-        bundles = [bundle_for(c, "baseline") for c in self.cities()]
         with pytest.raises(DataError, match="grid4x4"):
-            assemble_features(bundles, "enhanced")
+            assemble_features(*self.rows("baseline"), "enhanced")
 
     def test_drop_features(self):
-        bundles = [bundle_for(c, "baseline") for c in self.cities()]
-        matrix = assemble_features(bundles, "baseline")
+        matrix = assemble_features(*self.rows("baseline"), "baseline")
         smaller = drop_features(matrix, ["median_bc"])
         assert "median_bc" not in smaller.feature_names
         assert smaller.values.shape == (3, 8)
@@ -147,9 +145,9 @@ class TestAssemble:
             drop_features(matrix, ["nope"])
 
     def test_column_order_is_deterministic(self):
-        bundles = [bundle_for(c) for c in self.cities()]
-        a = assemble_features(bundles, "enhanced")
-        b = assemble_features(bundles, "enhanced")
+        names, rows = self.rows()
+        a = assemble_features(names, rows, "enhanced")
+        b = assemble_features(names, rows, "enhanced")
         assert a.feature_names == b.feature_names
         assert np.array_equal(a.values, b.values)
 

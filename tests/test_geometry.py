@@ -60,6 +60,13 @@ class TestAngle:
         got = sorted(ray_gaps(east, o, diag, mode="geographic"))
         assert got == pytest.approx([expected, 360.0 - expected], abs=1e-6)
 
+    def test_geographic_projection_crosses_the_antimeridian(self):
+        # The link to -179.9999 runs 0.0002 degrees east, not 359.9998 west.
+        o = P(179.9999, 0.0)
+        got = sorted(ray_gaps(P(-179.9999, 0.0), o, P(180.0, 0.0002), mode="geographic"))
+        expected = math.degrees(math.atan2(2.0, 1.0))
+        assert got == pytest.approx([expected, 360.0 - expected], abs=1e-6)
+
     @given(
         st.floats(-100, 100), st.floats(-100, 100),
         st.floats(-100, 100), st.floats(-100, 100),
@@ -212,8 +219,8 @@ class TestClassifyPattern:
 class TestPatternCounts:
     def test_grid_10x10(self):
         counts = pattern_counts(make_grid_city(10, 10, 100.0))
-        assert counts.d4_props["1"] == 1.0
-        assert counts.d3_props["1"] == 1.0
+        assert counts["d4_t1"] == 1.0
+        assert counts["d3_t1"] == 1.0
 
     def test_single_t_node(self):
         city = make_city(
@@ -221,20 +228,19 @@ class TestPatternCounts:
             [("o", "a"), ("o", "b"), ("o", "c")],
         )
         counts = pattern_counts(city)
-        assert counts.d3_props["1"] == 1.0
-        assert all(v == 0.0 for v in counts.d4_props.values())
+        assert counts["d3_t1"] == 1.0
+        assert all(v == 0.0 for k, v in counts.items() if k.startswith("d4_"))
 
     def test_city_without_classified_nodes(self):
         city = make_city({"A": (0, 0), "B": (10, 0)}, [("A", "B")])
         counts = pattern_counts(city)
-        assert all(v == 0.0 for v in counts.d3_props.values())
-        assert all(v == 0.0 for v in counts.d4_props.values())
+        assert all(v == 0.0 for v in counts.values())
 
     def test_degenerate_node_lands_in_other(self):
         nodes = {"o": (0.0, 0.0), "a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 0.0)}
         links = [("o", "a", (), 1.0), ("o", "b", (), 1.0), ("o", "c", (), 1.0)]
         counts = pattern_counts(make_city(nodes, links))
-        assert counts.d3_props["other"] == 1.0
+        assert counts["d3_other"] == 1.0
 
     def test_rotation_leaves_type_codes_unchanged(self):
         city = generate(
@@ -243,9 +249,8 @@ class TestPatternCounts:
         base = pattern_counts(city)
         for theta in (17.3, 40.0, 111.9, 263.0):
             rotated = pattern_counts(rotate_city(city, theta))
-            for key in base.d3_props:
-                assert rotated.d3_props[key] == pytest.approx(base.d3_props[key], abs=1e-12)
-                assert rotated.d4_props[key] == pytest.approx(base.d4_props[key], abs=1e-12)
+            for key in base:
+                assert rotated[key] == pytest.approx(base[key], abs=1e-12)
 
     def test_degree3_feasibility_over_corpus(self):
         from cityform.geometry import node_angles as angles_of
@@ -279,3 +284,9 @@ class TestLinkBearing:
     def test_geographic_due_east(self):
         city = make_city({"A": (0, 60), "B": (0.01, 60)}, [("A", "B")], mode="geographic")
         assert link_bearing(city.graph.links[0], city.graph) == pytest.approx(90.0, abs=0.01)
+
+    def test_geographic_due_east_across_the_antimeridian(self):
+        city = make_city(
+            {"A": (179.9999, 0), "B": (-179.9999, 0)}, [("A", "B")], mode="geographic"
+        )
+        assert link_bearing(city.graph.links[0], city.graph) == pytest.approx(90.0, abs=1e-9)

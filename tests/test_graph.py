@@ -162,6 +162,19 @@ class TestClip:
         square = make_boundary("big", [[[(0, 0), (10_000, 0), (10_000, 10_000), (0, 10_000)]]])
         assert boundary_area_km2(square, "planar") == pytest.approx(100.0, abs=1e-9)
 
+    @pytest.mark.parametrize("mode, unit", [("planar", 1000.0), ("geographic", 0.01)])
+    def test_hole_area_is_subtracted(self, mode, unit):
+        def square(lo, hi):
+            lo, hi = lo * unit, hi * unit
+            return [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+
+        outer, hole = square(0, 2), square(0.5, 1.5)
+        solid = boundary_area_km2(make_boundary("solid", [[outer]]), mode)
+        alone = boundary_area_km2(make_boundary("hole", [[hole]]), mode)
+        holey = boundary_area_km2(make_boundary("holey", [[outer, hole]]), mode)
+        assert alone == pytest.approx(solid / 4, rel=1e-3)
+        assert holey == pytest.approx(solid - alone, rel=1e-12)
+
     def test_empty_city_is_reported_not_raised(self):
         city = make_city({"A": (5, 5), "B": (6, 5)}, [("A", "B")])
         clipped = clip_to_city(city.graph, UNIT_SQUARE)

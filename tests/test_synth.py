@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cityform.errors import ValidationError
-from cityform.features import CityMetrics, assemble_features, bearing_histogram, zscore
+from cityform.features import assemble_features, bearing_histogram, bearing_values, zscore
 from cityform.geometry import pattern_counts
 from cityform.graph import point_in_polygon
 from cityform.synth import ArchetypeSpec, city_boundary, corpus_specs, generate
@@ -35,8 +35,8 @@ class TestGridded:
     def test_jitter_free_grid_is_all_type1(self):
         city = generate(spec_for("gridded", size=100, jitter=0.0, dead_end_rate=0.0))
         counts = pattern_counts(city)
-        assert counts.d4_props["1"] == 1.0
-        assert counts.d3_props["1"] == 1.0
+        assert counts["d4_t1"] == 1.0
+        assert counts["d3_t1"] == 1.0
 
     def test_knockouts_create_dead_ends(self):
         city = generate(spec_for("gridded", size=144, jitter=0.0, dead_end_rate=0.3))
@@ -51,14 +51,15 @@ class TestOrthogonal:
         profile = degree_profile(city)
         assert 0.2 <= profile.proportions_out["1"] <= 0.4
         counts = pattern_counts(city)
-        modal = max(counts.d3_props, key=counts.d3_props.get)
-        assert modal == "1"
+        degree3 = {k: v for k, v in counts.items() if k.startswith("d3_")}
+        modal = max(degree3, key=degree3.get)
+        assert modal == "d3_t1"
 
     def test_four_way_mix_includes_skewed_crossings(self):
         city = generate(spec_for("orthogonal", size=200, dead_end_rate=0.35, seed=2))
         counts = pattern_counts(city)
-        assert counts.d4_props["1"] < 1.0
-        assert counts.d4_props["3"] + counts.d4_props["2"] > 0.0
+        assert counts["d4_t1"] < 1.0
+        assert counts["d4_t3"] + counts["d4_t2"] > 0.0
 
 
 class TestOrganic:
@@ -66,7 +67,7 @@ class TestOrganic:
         city = generate(spec_for("organic", size=140, jitter=0.0, dead_end_rate=0.4, seed=3))
         assert bearing_histogram(city).dominant_bin_count <= 1
         counts = pattern_counts(city)
-        assert 1.0 - counts.d3_props["1"] > 0.5
+        assert 1.0 - counts["d3_t1"] > 0.5
 
     def test_has_curved_links_with_shape_points(self):
         city = generate(spec_for("organic", size=60, jitter=0.0, dead_end_rate=0.3))
@@ -124,14 +125,15 @@ class TestDeterminismAndInvariants:
 
 class TestSeparability:
     def test_between_archetype_distance_exceeds_within(self):
-        bundles, kinds = [], []
+        names, rows, kinds = [], [], []
         for name, spec in corpus_specs(10, seed=0, base_size=110):
             city = generate(spec, name=name)
-            bundles.append(
-                CityMetrics(name, topo_metrics(city), pattern_counts(city), bearing_histogram(city))
+            names.append(name)
+            rows.append(
+                {**topo_metrics(city), **pattern_counts(city), **bearing_values(bearing_histogram(city))}
             )
             kinds.append(spec.kind)
-        matrix = zscore(assemble_features(bundles, "enhanced"))
+        matrix = zscore(assemble_features(names, rows, "enhanced"))
         values = matrix.values
         kinds = np.array(kinds)
         within, between = [], []

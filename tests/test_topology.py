@@ -157,6 +157,14 @@ class TestGeometricSummaries:
         )
         assert len(undirected_edge_lengths(city)) == 2
 
+    def test_shorter_unpaired_backward_link_counts_alone(self):
+        city = make_city(
+            {"A": (0, 0), "B": (100, 0)},
+            [("A", "B", (), 103.0), ("B", "A", (), 100.0), ("B", "A", (), 103.5)],
+        )
+        # B->A at 100 m pairs with nothing; A->B pairs with B->A at 103.5 m.
+        assert undirected_edge_lengths(city) == [100.0, 103.25]
+
     def test_parallel_duplicates_stay_separate(self):
         city = make_city(
             {"A": (0, 0), "B": (100, 0)},
@@ -175,6 +183,6 @@ class TestGeometricSummaries:
 def test_topo_metrics_bundles_everything():
     city = make_grid_city(4, 4, 100.0)
     metrics = topo_metrics(city)
-    assert metrics.degree_profile.proportions_out["2"] == pytest.approx(4 / 16)
-    assert metrics.geometry.link_node_ratio == pytest.approx(24 / 16)
-    assert metrics.centrality.median_normalized_bc > 0.0
+    assert metrics["prop_deg2"] == pytest.approx(4 / 16)
+    assert metrics["link_node_ratio"] == pytest.approx(24 / 16)
+    assert metrics["median_bc"] > 0.0
