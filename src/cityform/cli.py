@@ -309,8 +309,8 @@ _CONTENTS = {
 def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> dict:
     """Write the named artifacts, computing only the stages they need.
 
-    On any failure every file this call wrote is removed before the error
-    propagates.
+    On any failure every file this call wrote, and every directory it
+    created that is then empty, is removed before the error propagates.
     """
     config.validate()
     unknown = [name for name in artifacts if name not in _CONTENTS]
@@ -322,6 +322,8 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     if {"clusters.csv", "evaluation.json"} & set(artifacts) and config.k > len(run.cities):
         raise ValidationError(f"k must lie in 1..{len(run.cities)}, got {config.k}")
     out = Path(config.out_dir)
+    # Deepest first, so each directory is empty by the time it is reached.
+    missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
     written: list[Path] = []
     try:
         for name in artifacts:
@@ -333,6 +335,11 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for directory in missing_dirs:
+            try:
+                directory.rmdir()
+            except OSError:  # never created, or holds something else
+                pass
         raise
     return {"cities": len(run.cities), "artifacts": [p.name for p in written]}
 

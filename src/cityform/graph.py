@@ -21,7 +21,10 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import DataError, EmptyCityError, ValidationError
 
@@ -123,6 +126,13 @@ class RoadGraph:
     @property
     def link_count(self) -> int:
         return len(self.links)
+
+    @cached_property
+    def node_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node x and y coordinates as float64 arrays, in node order."""
+        xs = np.fromiter((n.location.x for n in self.nodes.values()), float, self.node_count)
+        ys = np.fromiter((n.location.y for n in self.nodes.values()), float, self.node_count)
+        return xs, ys
 
     def out_links(self, node_id: str) -> list[RoadLink]:
         return self._out[node_id]
@@ -271,21 +281,65 @@ def boundary_area_km2(boundary: CityBoundary, mode: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _inside_indices(xs: np.ndarray, ys: np.ndarray, boundary: CityBoundary) -> np.ndarray:
+    """Ascending indices of the points for which ``point_in_polygon`` holds.
+
+    Each ring edge applies ``_on_segment`` and the crossing test to every
+    candidate point at once, as the same IEEE operations in the same
+    order, so the answer equals the scalar test's point for point.
+    """
+    vertices = [p for ring in boundary.rings() for p in ring]
+    x0, x1 = min(p.x for p in vertices), max(p.x for p in vertices)
+    y0, y1 = min(p.y for p in vertices), max(p.y for p in vertices)
+    # A point outside the box widened by the on-segment tolerance lies on no
+    # edge and, above or below it, straddles none. Left or right of it, every
+    # straddling edge crosses on one side of the point, an even count, once
+    # the box also covers the few ulps by which a rounded crossing can leave
+    # its edge's x range (1.6e-9 at web-Mercator magnitudes).
+    pad = _ON_BOUNDARY_EPS + 16 * math.ulp(max(abs(x0), abs(x1), abs(y0), abs(y1)))
+    candidates = np.flatnonzero(
+        (xs >= x0 - pad) & (xs <= x1 + pad) & (ys >= y0 - pad) & (ys <= y1 + pad)
+    )
+    xs, ys = xs[candidates], ys[candidates]
+    on_any = np.zeros(len(candidates), dtype=bool)
+    odd = np.zeros(len(candidates), dtype=bool)
+    # Python floats overflow to inf and nan without a word; so do these.
+    with np.errstate(all="ignore"):
+        for ring in boundary.rings():
+            n = len(ring)
+            for i in range(n):
+                a, b = ring[i], ring[(i + 1) % n]
+                near = (
+                    (min(a.x, b.x) - _ON_BOUNDARY_EPS <= xs)
+                    & (xs <= max(a.x, b.x) + _ON_BOUNDARY_EPS)
+                    & (min(a.y, b.y) - _ON_BOUNDARY_EPS <= ys)
+                    & (ys <= max(a.y, b.y) + _ON_BOUNDARY_EPS)
+                )
+                cross = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
+                scale = max(1.0, abs(b.x - a.x), abs(b.y - a.y))
+                on_any |= near & (np.abs(cross) <= _ON_BOUNDARY_EPS * scale)
+                if a.y != b.y:  # a horizontal edge straddles no point
+                    x_at = a.x + (ys - a.y) * (b.x - a.x) / (b.y - a.y)
+                    odd ^= ((a.y > ys) != (b.y > ys)) & (x_at > xs)
+    return candidates[on_any | odd]
+
+
 def clip_to_city(graph: RoadGraph, boundary: CityBoundary) -> CityNetwork:
     """Induced subgraph on nodes inside (or on) the boundary.
 
-    A link survives only if both endpoints survive. An empty result is a
-    legal outcome (``CityNetwork.is_empty``), not an error; downstream
-    metrics raise :class:`EmptyCityError` where emptiness is fatal.
+    Membership is ``point_in_polygon``'s, computed for all nodes at once.
+    Kept nodes and links stay in the parent graph's order. A link survives
+    only if both endpoints survive. An empty result is a legal outcome
+    (``CityNetwork.is_empty``), not an error; downstream metrics raise
+    :class:`EmptyCityError` where emptiness is fatal.
     """
     if graph.node_count == 0:
         raise EmptyCityError("cannot clip an empty regional graph")
     area = boundary_area_km2(boundary, graph.mode)
     if area <= 0.0:
         raise DataError(f"boundary {boundary.city_name!r} has zero area")
-    kept_nodes = [
-        node for node in graph.nodes.values() if point_in_polygon(node.location, boundary)
-    ]
+    nodes = list(graph.nodes.values())
+    kept_nodes = [nodes[i] for i in _inside_indices(*graph.node_xy, boundary)]
     kept_ids = {node.id for node in kept_nodes}
     kept_links = [
         link

@@ -187,18 +187,34 @@ class TestPipeline:
             run_pipeline(self.config(root, tmp_path / "bad", tau=50.0))
         assert not (tmp_path / "bad").exists()
 
-    def test_partial_outputs_removed_on_error(self, corpus, tmp_path, monkeypatch):
-        root, _ = corpus
-
+    @staticmethod
+    def fail_after_factors(monkeypatch, out):
         def fail(*args, **kwargs):
             # Several artifacts exist by the time k-means runs.
-            assert (tmp_path / "broken" / "factors.json").exists()
+            assert (out / "factors.json").exists()
             raise ValidationError("k-means failed")
 
         monkeypatch.setattr("cityform.cli.kmeans", fail)
+
+    def test_partial_outputs_removed_on_error(self, corpus, tmp_path, monkeypatch):
+        root, _ = corpus
+        out = tmp_path / "broken" / "out"
+        self.fail_after_factors(monkeypatch, out)
         with pytest.raises(ValidationError):
-            run_pipeline(self.config(root, tmp_path / "broken"))
-        assert list((tmp_path / "broken").glob("*")) == []
+            run_pipeline(self.config(root, out))
+        # Both directories the run created are gone; the one it found stays.
+        assert not (tmp_path / "broken").exists()
+        assert tmp_path.is_dir()
+
+    def test_failed_run_keeps_an_existing_out_directory(self, corpus, tmp_path, monkeypatch):
+        root, _ = corpus
+        out = tmp_path / "existing"
+        out.mkdir()
+        self.fail_after_factors(monkeypatch, out)
+        with pytest.raises(ValidationError):
+            run_pipeline(self.config(root, out))
+        assert out.is_dir()
+        assert list(out.iterdir()) == []
 
 
 class TestGeographicMode:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from cityform.errors import CityformError, DataError
 from cityform.graph import (
+    _ON_BOUNDARY_EPS as EPS,
     EARTH_RADIUS_M,
+    MODES,
     CityNetwork,
     GeoPoint,
     boundary_area_km2,
@@ -213,6 +216,154 @@ class TestClip:
         area = boundary_area_km2(cell, "geographic")
         expected = (EARTH_RADIUS_M * math.radians(1.0) / 1000.0) ** 2
         assert area == pytest.approx(expected, rel=5e-4)
+
+
+def nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` representable steps (down if negative)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+@st.composite
+def clip_cases(draw, mode):
+    """A MultiPolygon boundary and points placed where clipping can go wrong.
+
+    Ring vertices sit on an integer grid scaled by ``unit`` and shifted, so
+    rings have horizontal, vertical and slanted edges, collinear and
+    repeated vertices, and holes.
+    """
+    if mode == "planar":
+        unit = draw(st.sampled_from([1.0, 0.37, 250.0]))
+        ox, oy = (draw(st.sampled_from([0.0, -3.7e5, 6.4e6]) | st.floats(-1e4, 1e4)) for _ in "xy")
+    else:
+        unit = draw(st.sampled_from([1e-3, 0.0137]))
+        ox, oy = draw(st.floats(-170, 170)), draw(st.floats(-80, 80))
+
+    def at(i, j):
+        return (ox + i * unit, oy + j * unit)
+
+    polygons, holes = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        x0, y0 = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+        x1, y1 = x0 + draw(st.integers(2, 6)), y0 + draw(st.integers(2, 6))
+        apex_x, apex_dy = draw(st.integers(x0, x1)), draw(st.integers(0, 3))
+        rings = [[at(x0, y0), at(x1, y0), at(x1, y1), at(apex_x, y1 + apex_dy), at(x0, y1)]]
+        if draw(st.booleans()):
+            cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+            corners = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
+            if draw(st.booleans()):  # a diamond, with slanted edges
+                corners = [(0, -0.5), (0.5, 0), (0, 0.5), (-0.5, 0)]
+            rings.append([at(cx + dx, cy + dy) for dx, dy in corners])
+            holes.append(at(cx, cy))
+        polygons.append(rings)
+    boundary = make_boundary("b", polygons)
+
+    rings = list(boundary.rings())
+    vertices = [p for ring in rings for p in ring]
+    edges = [(ring[i], ring[(i + 1) % len(ring)]) for ring in rings for i in range(len(ring))]
+    bx0, bx1 = min(p.x for p in vertices), max(p.x for p in vertices)
+    by0, by1 = min(p.y for p in vertices), max(p.y for p in vertices)
+
+    def near_edge(args):
+        (a, b), t, dx, dy = args
+        return (a.x + t * (b.x - a.x) + dx, a.y + t * (b.y - a.y) + dy)
+
+    def near_box_side(args):
+        # On one side of the bounding box widened by EPS, moved a few ulps
+        # in or out, anywhere along that side.
+        side, t, ulps = args
+        x, y = bx0 + t * (bx1 - bx0), by0 + t * (by1 - by0)
+        if side == "left":
+            return (nudged(bx0 - EPS, ulps), y)
+        if side == "right":
+            return (nudged(bx1 + EPS, ulps), y)
+        if side == "bottom":
+            return (x, nudged(by0 - EPS, ulps))
+        return (x, nudged(by1 + EPS, ulps))
+
+    half_eps = st.floats(-EPS / 2, EPS / 2)
+    point = st.one_of(
+        st.sampled_from(vertices).map(tuple),
+        st.sampled_from(edges).map(lambda e: ((e[0].x + e[1].x) / 2, (e[0].y + e[1].y) / 2)),
+        st.tuples(st.sampled_from(edges), st.floats(0, 1), half_eps, half_eps).map(near_edge),
+        st.sampled_from(holes or [tuple(vertices[0])]),
+        st.tuples(
+            st.sampled_from(["left", "right", "bottom", "top"]),
+            st.floats(0, 1),
+            st.integers(-40, 40),
+        ).map(near_box_side),
+        st.sampled_from([(bx0 - 50 * unit, by1 + 50 * unit), (bx1 + 50 * unit, (by0 + by1) / 2)]),
+        st.tuples(st.floats(bx0 - unit, bx1 + unit), st.floats(by0 - unit, by1 + unit)),
+    )
+    return boundary, draw(st.lists(point, min_size=1, max_size=40))
+
+
+def accepted(graph, boundary) -> list[str]:
+    """Ids of the nodes ``point_in_polygon`` accepts, in graph order."""
+    return [nid for nid, node in graph.nodes.items() if point_in_polygon(node.location, boundary)]
+
+
+class TestVectorisedClip:
+    """``clip_to_city`` keeps exactly the nodes ``point_in_polygon`` accepts."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_point_in_polygon(self, mode, data):
+        boundary, points = data.draw(clip_cases(mode))
+        nodes = {f"n{i}": p for i, p in enumerate(points)}
+        chain = [(f"n{i}", f"n{i + 1}", (), 1.0) for i in range(len(points) - 1)]
+        graph = make_city(nodes, chain, mode=mode).graph
+        clipped = clip_to_city(graph, boundary)
+        inside = accepted(graph, boundary)
+        assert list(clipped.graph.nodes) == inside
+        kept = set(inside)
+        assert [l.id for l in clipped.graph.links] == [
+            l.id for l in graph.links if l.from_node in kept and l.to_node in kept
+        ]
+
+    def test_rounded_crossing_beyond_the_box(self):
+        # At web-Mercator magnitudes the rounded crossing of the slanted edge
+        # lands 1.6e-9 right of its vertex, past a box widened by EPS alone,
+        # so the even-odd count calls this point inside.
+        ring = [
+            (-17189704.310621675, 6885939.748056918),
+            (-1212822.920311667, -3873224.1222796924),
+            (-17190704.310621675, 1506357.812888613),
+        ]
+        boundary = make_boundary("mercator", [[ring]])
+        point = (-1212822.9203116654, -3873224.122279692)
+        assert point[0] > max(x for x, _ in ring) + EPS
+        assert point_in_polygon(GeoPoint(*point), boundary)
+        graph = make_city({"p": point, "q": (0.0, 0.0)}, [("p", "q")]).graph
+        assert list(clip_to_city(graph, boundary).graph.nodes) == ["p"]
+
+    def test_parent_order_is_kept(self):
+        rng = random.Random(5)
+        coords = [(i / 4, j / 4) for i in range(-2, 7) for j in range(-2, 7)]
+        names = [f"n{i}" for i in range(len(coords))]
+        rng.shuffle(names)
+        nodes = dict(zip(names, coords))
+        links = [tuple(rng.sample(names, 2)) for _ in range(150)]
+        graph = make_city(nodes, links).graph
+        clipped = clip_to_city(graph, UNIT_SQUARE)
+        inside = set(accepted(graph, UNIT_SQUARE))
+        assert 0 < len(inside) < len(nodes)
+        assert list(clipped.graph.nodes) == [nid for nid in names if nid in inside]
+        assert [l.id for l in clipped.graph.links] == [
+            l.id for l in graph.links if l.from_node in inside and l.to_node in inside
+        ]
+        assert clipped.graph.link_count > 0
+
+    def test_boundary_box_without_nodes_is_empty_without_warnings(self):
+        city = make_city({"A": (5, 5), "B": (6, 5)}, [("A", "B"), ("B", "A")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped = clip_to_city(city.graph, UNIT_SQUARE)
+        assert clipped.is_empty
+        assert clipped.graph.link_count == 0
 
 
 class TestDistances:
