@@ -58,8 +58,6 @@ from .graph import (
 from .reduction import FactorModel, extract_factors
 from .synth import ArchetypeSpec, city_boundary, generate
 from .topology import (
-    CentralitySummary,
-    DegreeProfile,
     betweenness,
     degree_profile,
     geometric_summaries,
@@ -71,14 +69,12 @@ __all__ = [
     "ArchetypeSpec",
     "BASELINE_FEATURES",
     "BearingHistogram",
-    "CentralitySummary",
     "CityBoundary",
     "CityNetwork",
     "CityformError",
     "ClusteringResult",
     "DataError",
     "DegenerateGeometryError",
-    "DegreeProfile",
     "ENHANCED_FEATURES",
     "EmptyCityError",
     "FactorModel",

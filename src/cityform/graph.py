@@ -209,39 +209,8 @@ class CityNetwork:
 
 
 # ---------------------------------------------------------------------------
-# Point-in-polygon and areas
+# Areas
 # ---------------------------------------------------------------------------
-
-
-def _on_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
-    if not (
-        min(a.x, b.x) - _ON_BOUNDARY_EPS <= p.x <= max(a.x, b.x) + _ON_BOUNDARY_EPS
-        and min(a.y, b.y) - _ON_BOUNDARY_EPS <= p.y <= max(a.y, b.y) + _ON_BOUNDARY_EPS
-    ):
-        return False
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    scale = max(1.0, abs(b.x - a.x), abs(b.y - a.y))
-    return abs(cross) <= _ON_BOUNDARY_EPS * scale
-
-
-def point_in_polygon(p: GeoPoint, boundary: CityBoundary) -> bool:
-    """Even-odd (ray casting) containment test; boundary points count as inside.
-
-    Holes need no special casing: a point inside a hole crosses the hole
-    ring and the exterior ring, yielding an even crossing count.
-    """
-    crossings = 0
-    for ring in boundary.rings():
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            if _on_segment(p, a, b):
-                return True
-            if (a.y > p.y) != (b.y > p.y):
-                x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if x_at > p.x:
-                    crossings += 1
-    return crossings % 2 == 1
 
 
 def _ring_area_planar_m2(ring: Ring) -> float:
@@ -282,23 +251,25 @@ def boundary_area_km2(boundary: CityBoundary, mode: str) -> float:
 
 
 def _inside_indices(xs: np.ndarray, ys: np.ndarray, boundary: CityBoundary) -> np.ndarray:
-    """Ascending indices of the points for which ``point_in_polygon`` holds.
+    """Ascending indices of the points inside or on the boundary.
 
-    Each ring edge applies ``_on_segment`` and the crossing test to every
-    candidate point at once, as the same IEEE operations in the same
-    order, so the answer equals the scalar test's point for point.
+    Even-odd ray casting, boundary-inclusive: a point within
+    ``_ON_BOUNDARY_EPS`` of a ring edge is inside, and otherwise it is
+    inside when a ray to +x crosses an odd number of ring edges. Holes need
+    no special casing: a point inside a hole crosses the hole ring and the
+    exterior ring, an even count. Each ring edge tests every candidate
+    point at once.
     """
     vertices = [p for ring in boundary.rings() for p in ring]
     x0, x1 = min(p.x for p in vertices), max(p.x for p in vertices)
     y0, y1 = min(p.y for p in vertices), max(p.y for p in vertices)
     # A point outside the box widened by the on-segment tolerance lies on no
     # edge and, above or below it, straddles none. Left or right of it, every
-    # straddling edge crosses on one side of the point, an even count, once
-    # the box also covers the few ulps by which a rounded crossing can leave
-    # its edge's x range (1.6e-9 at web-Mercator magnitudes).
-    pad = _ON_BOUNDARY_EPS + 16 * math.ulp(max(abs(x0), abs(x1), abs(y0), abs(y1)))
+    # straddling edge crosses (clamped to the edge) on one side of the
+    # point, an even count.
     candidates = np.flatnonzero(
-        (xs >= x0 - pad) & (xs <= x1 + pad) & (ys >= y0 - pad) & (ys <= y1 + pad)
+        (xs >= x0 - _ON_BOUNDARY_EPS) & (xs <= x1 + _ON_BOUNDARY_EPS)
+        & (ys >= y0 - _ON_BOUNDARY_EPS) & (ys <= y1 + _ON_BOUNDARY_EPS)
     )
     xs, ys = xs[candidates], ys[candidates]
     on_any = np.zeros(len(candidates), dtype=bool)
@@ -319,15 +290,23 @@ def _inside_indices(xs: np.ndarray, ys: np.ndarray, boundary: CityBoundary) -> n
                 scale = max(1.0, abs(b.x - a.x), abs(b.y - a.y))
                 on_any |= near & (np.abs(cross) <= _ON_BOUNDARY_EPS * scale)
                 if a.y != b.y:  # a horizontal edge straddles no point
+                    # The rounded crossing can fall a few ulps outside its
+                    # edge's x range; clamp it back.
                     x_at = a.x + (ys - a.y) * (b.x - a.x) / (b.y - a.y)
+                    x_at = np.clip(x_at, min(a.x, b.x), max(a.x, b.x))
                     odd ^= ((a.y > ys) != (b.y > ys)) & (x_at > xs)
     return candidates[on_any | odd]
+
+
+def point_in_polygon(p: GeoPoint, boundary: CityBoundary) -> bool:
+    """Whether ``clip_to_city`` keeps a node at ``p``: its test on one point."""
+    return _inside_indices(np.array([p.x]), np.array([p.y]), boundary).size == 1
 
 
 def clip_to_city(graph: RoadGraph, boundary: CityBoundary) -> CityNetwork:
     """Induced subgraph on nodes inside (or on) the boundary.
 
-    Membership is ``point_in_polygon``'s, computed for all nodes at once.
+    Membership is tested for all nodes of the boundary's box at once.
     Kept nodes and links stay in the parent graph's order. A link survives
     only if both endpoints survive. An empty result is a legal outcome
     (``CityNetwork.is_empty``), not an error; downstream metrics raise

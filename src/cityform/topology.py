@@ -10,14 +10,13 @@ street.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import EmptyCityError
 from .graph import CityNetwork
 
-DEGREE_CLASSES = ("1", "2", "3", "4", "5+")
-DEGREE_FEATURES = tuple(f"prop_deg{c}".replace("5+", "5plus") for c in DEGREE_CLASSES)
+# Share of nodes with out-degree 1, 2, 3, 4 and 5 or more.
+DEGREE_FEATURES = ("prop_deg1", "prop_deg2", "prop_deg3", "prop_deg4", "prop_deg5plus")
 # metrics.csv columns, one row per city from ``topo_metrics``.
 METRIC_COLUMNS = DEGREE_FEATURES + (
     "median_bc",
@@ -36,61 +35,32 @@ _TIE_REL_TOL = 1e-12
 _OPPOSING_LENGTH_TOL_M = 1.0
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Fractions of nodes per out-degree class, and the share of nodes whose
-    in-degree differs from their out-degree.
+def degree_profile(city: CityNetwork) -> dict[str, float]:
+    """Out-degree shares (``DEGREE_FEATURES``) and the share of nodes whose
+    in-degree differs from their out-degree (``pct_in_ne_out``).
 
-    Degrees of 5 and above pool into the "5+" class. A "0" class exists so
-    the proportions always sum to 1 even on one-way graphs with pure
-    sinks.
+    Nodes with out-degree 0, pure sinks on one-way graphs, fall in no class.
     """
-
-    proportions_out: dict[str, float]
-    pct_nodes_in_ne_out: float
-
-
-@dataclass(frozen=True)
-class CentralitySummary:
-    median_normalized_bc: float
-    per_node_bc: dict[str, float]
-
-
-@dataclass(frozen=True)
-class GeometrySummary:
-    link_node_ratio: float
-    network_density_km_per_km2: float
-    mean_link_length_m: float
-
-
-def _degree_class(degree: int) -> str:
-    if degree >= 5:
-        return "5+"
-    return str(degree)
-
-
-def degree_profile(city: CityNetwork) -> DegreeProfile:
-    """Out-degree class proportions and the share of unbalanced nodes."""
     graph = city.graph
     n = graph.node_count
     if n == 0:
         raise EmptyCityError(f"city {city.city_name!r} has no nodes")
-    out_counts: dict[str, int] = {}
+    out_counts = [0] * len(DEGREE_FEATURES)
     unbalanced = 0
     for node_id in graph.nodes:
         out_deg = graph.out_degree(node_id)
-        out_counts[_degree_class(out_deg)] = out_counts.get(_degree_class(out_deg), 0) + 1
+        if out_deg > 0:
+            out_counts[min(out_deg, len(DEGREE_FEATURES)) - 1] += 1
         if out_deg != graph.in_degree(node_id):
             unbalanced += 1
-    classes = ("0",) + DEGREE_CLASSES
-    return DegreeProfile(
-        proportions_out={c: out_counts.get(c, 0) / n for c in classes},
-        pct_nodes_in_ne_out=unbalanced / n,
-    )
+    return {
+        **{name: count / n for name, count in zip(DEGREE_FEATURES, out_counts)},
+        "pct_in_ne_out": unbalanced / n,
+    }
 
 
-def betweenness(city: CityNetwork) -> CentralitySummary:
-    """Length-weighted betweenness on the directed graph, normalized by n.
+def betweenness(city: CityNetwork) -> dict[str, float]:
+    """Length-weighted betweenness of each node id, normalized by n.
 
     For node i, BC(i) = (1/n) * sum over ordered pairs (a, b) with
     a != b != i of (shortest a->b paths through i) / (shortest a->b paths).
@@ -146,11 +116,7 @@ def betweenness(city: CityNetwork) -> CentralitySummary:
             if w != source:
                 bc[w] += delta[w]
 
-    per_node = {nid: bc[index[nid]] / n for nid in ids}
-    return CentralitySummary(
-        median_normalized_bc=statistics.median(per_node.values()),
-        per_node_bc=per_node,
-    )
+    return {nid: bc[index[nid]] / n for nid in ids}
 
 
 def undirected_edge_lengths(city: CityNetwork) -> list[float]:
@@ -192,30 +158,24 @@ def undirected_edge_lengths(city: CityNetwork) -> list[float]:
     return lengths
 
 
-def geometric_summaries(city: CityNetwork) -> GeometrySummary:
+def geometric_summaries(city: CityNetwork) -> dict[str, float]:
     """Link-node ratio, street density (km/km^2), and mean street length."""
     graph = city.graph
     if graph.node_count == 0:
         raise EmptyCityError(f"city {city.city_name!r} has no nodes")
     lengths = undirected_edge_lengths(city)
     total_km = sum(lengths) / 1000.0
-    return GeometrySummary(
-        link_node_ratio=len(lengths) / graph.node_count,
-        network_density_km_per_km2=total_km / city.area_km2,
-        mean_link_length_m=sum(lengths) / len(lengths) if lengths else 0.0,
-    )
+    return {
+        "link_node_ratio": len(lengths) / graph.node_count,
+        "density_km_per_km2": total_km / city.area_km2,
+        "mean_link_length_m": sum(lengths) / len(lengths) if lengths else 0.0,
+    }
 
 
 def topo_metrics(city: CityNetwork) -> dict[str, float]:
     """All topological metrics for one city, keyed by ``METRIC_COLUMNS``."""
-    degrees = degree_profile(city)
-    centrality = betweenness(city)
-    geometry = geometric_summaries(city)
     return {
-        **{name: degrees.proportions_out[c] for name, c in zip(DEGREE_FEATURES, DEGREE_CLASSES)},
-        "median_bc": centrality.median_normalized_bc,
-        "link_node_ratio": geometry.link_node_ratio,
-        "density_km_per_km2": geometry.network_density_km_per_km2,
-        "mean_link_length_m": geometry.mean_link_length_m,
-        "pct_in_ne_out": degrees.pct_nodes_in_ne_out,
+        **degree_profile(city),
+        "median_bc": statistics.median(betweenness(city).values()),
+        **geometric_summaries(city),
     }

@@ -3,8 +3,9 @@
 Oracles deliberately use different algorithms than the library: path
 counting by sorted-distance DP instead of Brandes accumulation, plain-loop
 index formulas instead of vectorized ones, characteristic-polynomial root
-bisection instead of a packaged eigensolver, and explicit plane rotation
-instead of atan2 differences.
+bisection instead of a packaged eigensolver, explicit plane rotation instead of
+atan2 differences, and a per-point ring loop instead of the clip's
+per-edge array pass.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from cityform.geometry import node_angles
 from cityform.graph import (
+    _ON_BOUNDARY_EPS,
+    CityBoundary,
     CityNetwork,
     GeoPoint,
     RoadGraph,
@@ -175,6 +178,41 @@ def brute_force_betweenness(city: CityNetwork) -> dict[str, float]:
                     total += sigma[a][i] * sigma[i][b] / sigma[a][b]
         bc[ids[i]] = total / n
     return bc
+
+
+# ---------------------------------------------------------------------------
+# Clip membership oracle: even-odd ray casting, one point and one edge at a
+# time, with the clip's arithmetic, so it agrees with ``clip_to_city`` node
+# for node.
+# ---------------------------------------------------------------------------
+
+
+def _on_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
+    if not (
+        min(a.x, b.x) - _ON_BOUNDARY_EPS <= p.x <= max(a.x, b.x) + _ON_BOUNDARY_EPS
+        and min(a.y, b.y) - _ON_BOUNDARY_EPS <= p.y <= max(a.y, b.y) + _ON_BOUNDARY_EPS
+    ):
+        return False
+    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    scale = max(1.0, abs(b.x - a.x), abs(b.y - a.y))
+    return abs(cross) <= _ON_BOUNDARY_EPS * scale
+
+
+def point_in_polygon_oracle(p: GeoPoint, boundary: CityBoundary) -> bool:
+    """Inside or on the boundary: on an edge, or an odd count of crossings to +x."""
+    crossings = 0
+    for ring in boundary.rings():
+        n = len(ring)
+        for i in range(n):
+            a, b = ring[i], ring[(i + 1) % n]
+            if _on_segment(p, a, b):
+                return True
+            if (a.y > p.y) != (b.y > p.y):
+                x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+                x_at = min(max(x_at, min(a.x, b.x)), max(a.x, b.x))
+                if x_at > p.x:
+                    crossings += 1
+    return crossings % 2 == 1
 
 
 def random_directed_city(rng, max_nodes: int = 30) -> CityNetwork:

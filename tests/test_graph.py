@@ -28,7 +28,7 @@ from cityform.graph import (
     polyline_length_m,
 )
 
-from helpers import make_city
+from helpers import make_city, point_in_polygon_oracle
 
 UNIT_SQUARE = make_boundary("unit", [[[(0, 0), (1, 0), (1, 1), (0, 1)]]])
 
@@ -301,12 +301,14 @@ def clip_cases(draw, mode):
 
 
 def accepted(graph, boundary) -> list[str]:
-    """Ids of the nodes ``point_in_polygon`` accepts, in graph order."""
-    return [nid for nid, node in graph.nodes.items() if point_in_polygon(node.location, boundary)]
+    """Ids of the nodes the scalar oracle accepts, in graph order."""
+    return [
+        nid for nid, node in graph.nodes.items() if point_in_polygon_oracle(node.location, boundary)
+    ]
 
 
 class TestVectorisedClip:
-    """``clip_to_city`` keeps exactly the nodes ``point_in_polygon`` accepts."""
+    """``clip_to_city`` keeps exactly the nodes the scalar oracle accepts."""
 
     @pytest.mark.parametrize("mode", MODES)
     @given(data=st.data())
@@ -324,21 +326,35 @@ class TestVectorisedClip:
             l.id for l in graph.links if l.from_node in kept and l.to_node in kept
         ]
 
+    # At web-Mercator magnitudes the rounded crossing of the triangle's
+    # slanted edge with the point's ray lands 1.6e-9 right of the edge's
+    # vertex, and so right of the point. Clamped to the edge, it lies left
+    # of the point, which is outside.
+    TRIANGLE = [
+        (-17189704.310621675, 6885939.748056918),
+        (-1212822.920311667, -3873224.1222796924),
+        (-17190704.310621675, 1506357.812888613),
+    ]
+    BESIDE_VERTEX = (-1212822.9203116654, -3873224.122279692)
+
     def test_rounded_crossing_beyond_the_box(self):
-        # At web-Mercator magnitudes the rounded crossing of the slanted edge
-        # lands 1.6e-9 right of its vertex, past a box widened by EPS alone,
-        # so the even-odd count calls this point inside.
-        ring = [
-            (-17189704.310621675, 6885939.748056918),
-            (-1212822.920311667, -3873224.1222796924),
-            (-17190704.310621675, 1506357.812888613),
-        ]
+        ring, point = self.TRIANGLE, self.BESIDE_VERTEX
         boundary = make_boundary("mercator", [[ring]])
-        point = (-1212822.9203116654, -3873224.122279692)
         assert point[0] > max(x for x, _ in ring) + EPS
-        assert point_in_polygon(GeoPoint(*point), boundary)
+        assert not point_in_polygon(GeoPoint(*point), boundary)
+        assert not point_in_polygon_oracle(GeoPoint(*point), boundary)
         graph = make_city({"p": point, "q": (0.0, 0.0)}, [("p", "q")]).graph
-        assert list(clip_to_city(graph, boundary).graph.nodes) == ["p"]
+        assert list(clip_to_city(graph, boundary).graph.nodes) == []
+
+    def test_rounded_crossing_inside_the_box(self):
+        # A second polygon widens the box past the point but straddles no
+        # ray at its y, so the clamp alone keeps the point outside.
+        point = self.BESIDE_VERTEX
+        boundary = make_boundary("mercator", [[self.TRIANGLE], [[(0, 0), (1, 0), (1, 1), (0, 1)]]])
+        assert not point_in_polygon(GeoPoint(*point), boundary)
+        assert not point_in_polygon_oracle(GeoPoint(*point), boundary)
+        graph = make_city({"p": point, "q": (0.5, 0.5)}, [("p", "q")]).graph
+        assert list(clip_to_city(graph, boundary).graph.nodes) == ["q"]
 
     def test_parent_order_is_kept(self):
         rng = random.Random(5)

@@ -8,7 +8,7 @@ from cityform.features import assemble_features, bearing_histogram, bearing_valu
 from cityform.geometry import pattern_counts
 from cityform.graph import point_in_polygon
 from cityform.synth import ArchetypeSpec, city_boundary, corpus_specs, generate
-from cityform.topology import degree_profile, topo_metrics
+from cityform.topology import DEGREE_FEATURES, degree_profile, topo_metrics
 
 
 def spec_for(kind, **overrides):
@@ -41,15 +41,16 @@ class TestGridded:
     def test_knockouts_create_dead_ends(self):
         city = generate(spec_for("gridded", size=144, jitter=0.0, dead_end_rate=0.3))
         profile = degree_profile(city)
-        assert profile.proportions_out["1"] > 0.0
-        assert profile.proportions_out["0"] == 0.0  # nobody fully stranded
+        assert profile["prop_deg1"] > 0.0
+        # Nobody fully stranded: no node has out-degree 0.
+        assert sum(profile[c] for c in DEGREE_FEATURES) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOrthogonal:
     def test_frozen_degree_band_and_modal_type(self):
         city = generate(spec_for("orthogonal", size=140, dead_end_rate=0.3, seed=1))
         profile = degree_profile(city)
-        assert 0.2 <= profile.proportions_out["1"] <= 0.4
+        assert 0.2 <= profile["prop_deg1"] <= 0.4
         counts = pattern_counts(city)
         degree3 = {k: v for k, v in counts.items() if k.startswith("d3_")}
         modal = max(degree3, key=degree3.get)

@@ -7,6 +7,8 @@ import pytest
 from cityform.errors import EmptyCityError
 from cityform.graph import CityNetwork, RoadGraph
 from cityform.topology import (
+    DEGREE_FEATURES,
+    METRIC_COLUMNS,
     betweenness,
     degree_profile,
     geometric_summaries,
@@ -32,29 +34,40 @@ class TestDegreeProfile:
             two_way([("c", "a"), ("c", "b"), ("c", "d")]),
         )
         profile = degree_profile(city)
-        assert profile.proportions_out["1"] == 0.75
-        assert profile.proportions_out["3"] == 0.25
-        assert profile.pct_nodes_in_ne_out == 0.0
+        assert profile["prop_deg1"] == 0.75
+        assert profile["prop_deg3"] == 0.25
+        assert profile["pct_in_ne_out"] == 0.0
 
     def test_single_one_way_link(self):
         city = make_city({"A": (0, 0), "B": (100, 0)}, [("A", "B")])
         profile = degree_profile(city)
-        assert profile.proportions_out == {"0": 0.5, "1": 0.5, "2": 0, "3": 0, "4": 0, "5+": 0}
-        assert profile.pct_nodes_in_ne_out == 1.0
+        assert profile == {
+            "prop_deg1": 0.5,
+            "prop_deg2": 0,
+            "prop_deg3": 0,
+            "prop_deg4": 0,
+            "prop_deg5plus": 0,
+            "pct_in_ne_out": 1.0,
+        }
+        # B, a pure sink, has out-degree 0: the one share no column holds.
+        assert 1 - sum(profile[c] for c in DEGREE_FEATURES) == 0.5
 
     def test_grid_5x5(self):
         # 25 nodes: 9 interior (out-degree 4), 12 edge (3), 4 corners (2).
         profile = degree_profile(make_grid_city(5, 5, 100.0))
-        assert profile.proportions_out["4"] == pytest.approx(9 / 25)
-        assert profile.proportions_out["3"] == pytest.approx(12 / 25)
-        assert profile.proportions_out["2"] == pytest.approx(4 / 25)
+        assert profile["prop_deg4"] == pytest.approx(9 / 25)
+        assert profile["prop_deg3"] == pytest.approx(12 / 25)
+        assert profile["prop_deg2"] == pytest.approx(4 / 25)
 
     def test_proportions_sum_to_one(self):
         rng = random.Random(5)
         for _ in range(10):
             city = random_directed_city(rng, max_nodes=20)
             profile = degree_profile(city)
-            assert sum(profile.proportions_out.values()) == pytest.approx(1.0, abs=1e-9)
+            graph = city.graph
+            sinks = sum(graph.out_degree(n) == 0 for n in graph.nodes) / graph.node_count
+            classed = sum(profile[c] for c in DEGREE_FEATURES)
+            assert classed + sinks == pytest.approx(1.0, abs=1e-9)
 
     def test_in_total_equals_out_total_equals_links(self):
         rng = random.Random(6)
@@ -66,7 +79,7 @@ class TestDegreeProfile:
 
     def test_two_way_city_is_balanced(self):
         profile = degree_profile(make_grid_city(4, 4, 50.0))
-        assert profile.pct_nodes_in_ne_out == 0.0
+        assert profile["pct_in_ne_out"] == 0.0
 
     def test_empty_city_error(self):
         empty = CityNetwork("void", RoadGraph([], [], "planar"), 1.0)
@@ -85,10 +98,10 @@ class TestBetweenness:
             [("A", "B"), ("B", "C")],
         )
         result = betweenness(city)
-        assert result.per_node_bc["B"] == pytest.approx(1 / 3, abs=1e-12)
-        assert result.per_node_bc["A"] == 0.0
-        assert result.per_node_bc["C"] == 0.0
-        assert result.median_normalized_bc == 0.0
+        assert result["B"] == pytest.approx(1 / 3, abs=1e-12)
+        assert result["A"] == 0.0
+        assert result["C"] == 0.0
+        assert topo_metrics(city)["median_bc"] == 0.0
 
     def test_complete_triangle_all_zero(self):
         city = make_city(
@@ -96,13 +109,13 @@ class TestBetweenness:
             two_way([("A", "B"), ("B", "C"), ("C", "A")]),
         )
         result = betweenness(city)
-        assert all(v == 0.0 for v in result.per_node_bc.values())
+        assert all(v == 0.0 for v in result.values())
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(42)
         for _ in range(30):
             city = random_directed_city(rng)
-            fast = betweenness(city).per_node_bc
+            fast = betweenness(city)
             slow = brute_force_betweenness(city)
             for nid in fast:
                 assert fast[nid] == pytest.approx(slow[nid], abs=1e-9)
@@ -115,36 +128,35 @@ class TestBetweenness:
         ]
         nodes = {n.id: (n.location.x, n.location.y) for n in city.graph.nodes.values()}
         scaled = make_city(nodes, scaled_links)
-        base = betweenness(city).per_node_bc
-        after = betweenness(scaled).per_node_bc
+        base = betweenness(city)
+        after = betweenness(scaled)
         for nid in base:
             assert after[nid] == pytest.approx(base[nid], abs=1e-12)
 
     def test_median_is_median_of_values(self):
         rng = random.Random(10)
         city = random_directed_city(rng, max_nodes=15)
-        result = betweenness(city)
-        values = sorted(result.per_node_bc.values())
+        values = sorted(betweenness(city).values())
         n = len(values)
         expected = (
             values[n // 2] if n % 2 else (values[n // 2 - 1] + values[n // 2]) / 2
         )
-        assert result.median_normalized_bc == pytest.approx(expected, abs=1e-15)
+        assert topo_metrics(city)["median_bc"] == pytest.approx(expected, abs=1e-15)
 
 
 class TestGeometricSummaries:
     def test_grid_3x3(self):
         city = make_grid_city(3, 3, 100.0, area_km2=0.04)
         summary = geometric_summaries(city)
-        assert summary.link_node_ratio == pytest.approx(12 / 9)
-        assert summary.mean_link_length_m == pytest.approx(100.0)
-        assert summary.network_density_km_per_km2 == pytest.approx(1.2 / 0.04)
+        assert summary["link_node_ratio"] == pytest.approx(12 / 9)
+        assert summary["mean_link_length_m"] == pytest.approx(100.0)
+        assert summary["density_km_per_km2"] == pytest.approx(1.2 / 0.04)
 
     def test_single_one_way_link(self):
         city = make_city({"A": (0, 0), "B": (150, 0)}, [("A", "B")])
         summary = geometric_summaries(city)
-        assert summary.mean_link_length_m == pytest.approx(150.0)
-        assert summary.link_node_ratio == pytest.approx(0.5)
+        assert summary["mean_link_length_m"] == pytest.approx(150.0)
+        assert summary["link_node_ratio"] == pytest.approx(0.5)
 
     def test_opposing_pair_collapses(self):
         city = make_city({"A": (0, 0), "B": (100, 0)}, [("A", "B"), ("B", "A")])
@@ -176,8 +188,8 @@ class TestGeometricSummaries:
     def test_nodes_without_links(self):
         city = make_city({"A": (0, 0), "B": (1, 1)}, [])
         summary = geometric_summaries(city)
-        assert summary.mean_link_length_m == 0.0
-        assert summary.link_node_ratio == 0.0
+        assert summary["mean_link_length_m"] == 0.0
+        assert summary["link_node_ratio"] == 0.0
 
 
 def test_topo_metrics_bundles_everything():
@@ -186,3 +198,15 @@ def test_topo_metrics_bundles_everything():
     assert metrics["prop_deg2"] == pytest.approx(4 / 16)
     assert metrics["link_node_ratio"] == pytest.approx(24 / 16)
     assert metrics["median_bc"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "city",
+    [
+        make_grid_city(4, 4, 100.0),
+        make_city({"A": (0, 0), "B": (100, 0), "C": (100, 100)}, [("A", "B"), ("B", "C")]),
+    ],
+    ids=["two-way-grid", "one-way"],
+)
+def test_topo_metrics_keys_are_the_metric_columns(city):
+    assert sorted(topo_metrics(city)) == sorted(METRIC_COLUMNS)
