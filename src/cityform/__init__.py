@@ -20,11 +20,9 @@ from .errors import (
 from .features import (
     BASELINE_FEATURES,
     ENHANCED_FEATURES,
-    BearingHistogram,
     FeatureMatrix,
     assemble_features,
     bearing_histogram,
-    bearing_values,
     drop_features,
     pearson_report,
     rotate_bins,
@@ -68,7 +66,6 @@ __all__ = [
     "__version__",
     "ArchetypeSpec",
     "BASELINE_FEATURES",
-    "BearingHistogram",
     "CityBoundary",
     "CityNetwork",
     "CityformError",
@@ -87,7 +84,6 @@ __all__ = [
     "ValidationError",
     "assemble_features",
     "bearing_histogram",
-    "bearing_values",
     "betweenness",
     "boundary_area_km2",
     "categorize",

@@ -27,12 +27,13 @@ from . import __version__
 from .clustering import elbow, kmeans
 from .errors import DataError, ValidationError
 from .features import (
+    BEARING_BINS,
     DEFAULT_DOMINANT_THRESHOLD,
     FEATURE_MODES,
     assemble_features,
     bearing_histogram,
-    bearing_values,
     drop_features,
+    kept_features,
     pearson_report,
     zscore,
 )
@@ -105,6 +106,11 @@ class RunConfig:
             raise ValidationError(f"unknown coordinate mode {self.mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValidationError(f"unknown feature mode {self.feature_mode!r}")
+        features = kept_features(FEATURE_MODES[self.feature_mode], self.drop)
+        if self.factors_override is not None and not 1 <= self.factors_override <= len(features):
+            raise ValidationError(
+                f"factors must lie in 1..{len(features)}, got {self.factors_override}"
+            )
         if not 0.0 < self.tau < 45.0:
             raise ValidationError(f"tau must lie in (0, 45), got {self.tau}")
         if not 0.0 < self.dominant_threshold < 1.0:
@@ -115,8 +121,8 @@ class RunConfig:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.k_range is not None and self.k_range[0] > self.k_range[1]:
-            raise ValidationError(f"empty k range {self.k_range}")
+        if self.k_range is not None and not 1 <= self.k_range[0] <= self.k_range[1]:
+            raise ValidationError(f"k range A..B needs 1 <= A <= B, got {self.k_range}")
 
 
 def config_from_manifest(manifest: dict) -> RunConfig:
@@ -195,7 +201,7 @@ class _Run:
         # enhanced runs compute them here.
         if self.config.feature_mode == "enhanced":
             rows = [
-                {**topo, **patterns, **bearing_values(bearings)}
+                {**topo, **patterns, **bearings}
                 for topo, patterns, bearings in zip(rows, self.patterns, self.bearings)
             ]
         names = [city.city_name for city in self.cities]
@@ -273,9 +279,9 @@ _CONTENTS = {
     ),
     "bearing_histograms.json": lambda run: {
         city.city_name: {
-            "bins": list(h.bins),
-            "rotation_offset": h.rotation_offset,
-            "dominant_bin_count": h.dominant_bin_count,
+            "bins": [h[name] for name in BEARING_BINS],
+            "rotation_offset": h["rotation_offset"],
+            "dominant_bin_count": h["dominant_bin_count"],
         }
         for city, h in zip(run.cities, run.bearings)
     },
@@ -319,8 +325,11 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     run = _Run(config)
     # k-means needs no more clusters than cities; say so before any
     # betweenness is computed.
-    if {"clusters.csv", "evaluation.json"} & set(artifacts) and config.k > len(run.cities):
-        raise ValidationError(f"k must lie in 1..{len(run.cities)}, got {config.k}")
+    n_cities = len(run.cities)
+    if {"clusters.csv", "evaluation.json"} & set(artifacts) and config.k > n_cities:
+        raise ValidationError(f"k must lie in 1..{n_cities}, got {config.k}")
+    if "elbow.csv" in artifacts and config.k_range and config.k_range[0] > n_cities:
+        raise ValidationError(f"k range must start in 1..{n_cities}, got {config.k_range}")
     out = Path(config.out_dir)
     # Deepest first, so each directory is empty by the time it is reached.
     missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
@@ -358,6 +367,8 @@ def write_corpus(
     out_dir: str,
 ) -> list[str]:
     """Generate cities and write nodes/links/boundaries files for ingestion."""
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = [

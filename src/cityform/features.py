@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, DegenerateGeometryError, ValidationError
 from .geometry import OTHER_PATTERN, PATTERN_COLUMNS, link_bearing
 from .graph import CityNetwork
 from .topology import DEGREE_FEATURES
@@ -38,28 +38,15 @@ BASELINE_FEATURES = DEGREE_FEATURES + (
 )
 # The features leave out the "other" pattern shares.
 PATTERN_FEATURES = tuple(c for c in PATTERN_COLUMNS if not c.endswith(OTHER_PATTERN))
-BEARING_FEATURES = tuple(f"bearing_bin_{i}" for i in range(1, BIN_COUNT + 1)) + (
-    "dominant_bin_count",
-)
+BEARING_BINS = tuple(f"bearing_bin_{i}" for i in range(1, BIN_COUNT + 1))
+BEARING_FEATURES = BEARING_BINS + ("dominant_bin_count",)
 ENHANCED_FEATURES = BASELINE_FEATURES + PATTERN_FEATURES + BEARING_FEATURES
 
-FEATURE_MODES = ("baseline", "enhanced")
+# Each feature mode's columns, in features.csv order.
+FEATURE_MODES = {"baseline": BASELINE_FEATURES, "enhanced": ENHANCED_FEATURES}
 
 # Columns whose population standard deviation falls below this are constant.
 _CONSTANT_STD_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class BearingHistogram:
-    """Rotated 18-bin histogram of directed link bearings.
-
-    ``bins`` holds the rotated proportions (bin 1 = the fullest bin);
-    ``rotation_offset`` is the pre-rotation index that became bin 1.
-    """
-
-    bins: tuple[float, ...]
-    rotation_offset: int
-    dominant_bin_count: int
 
 
 def rotate_bins(proportions: Sequence[float]) -> tuple[tuple[float, ...], int]:
@@ -73,23 +60,31 @@ def rotate_bins(proportions: Sequence[float]) -> tuple[tuple[float, ...], int]:
 
 def bearing_histogram(
     city: CityNetwork, dominant_threshold: float = DEFAULT_DOMINANT_THRESHOLD
-) -> BearingHistogram:
-    """Histogram of every directed link's bearing in 20-degree bins."""
+) -> dict[str, float]:
+    """Histogram of every directed link's bearing in 20-degree bins.
+
+    Keyed by ``BEARING_FEATURES``: the rotated proportions (bin 1 = the
+    fullest bin), then the int ``dominant_bin_count``; ``rotation_offset``
+    is the pre-rotation index that became bin 1. Links with no point
+    distinct from their start node have no bearing and are left out.
+    """
     if not 0.0 < dominant_threshold < 1.0:
         raise ValidationError(
             f"dominant threshold must lie in (0, 1), got {dominant_threshold}"
         )
     counts = [0] * BIN_COUNT
     for link in city.graph.links:
-        bearing = link_bearing(link, city.graph)
+        try:
+            bearing = link_bearing(link, city.graph)
+        except DegenerateGeometryError:
+            continue
         counts[int(bearing // BIN_WIDTH_DEG) % BIN_COUNT] += 1
     total = sum(counts)
-    if total == 0:
-        return BearingHistogram(bins=(0.0,) * BIN_COUNT, rotation_offset=0, dominant_bin_count=0)
-    proportions = [c / total for c in counts]
+    proportions = [c / total if total else 0.0 for c in counts]
     rotated, offset = rotate_bins(proportions)
     dominant = sum(1 for p in proportions if p > dominant_threshold)
-    return BearingHistogram(bins=rotated, rotation_offset=offset, dominant_bin_count=dominant)
+    values = dict(zip(BEARING_FEATURES, (*rotated, dominant), strict=True))
+    return values | {"rotation_offset": offset}
 
 
 @dataclass(frozen=True)
@@ -101,11 +96,6 @@ class FeatureMatrix:
     constant_columns: tuple[str, ...] = ()
 
 
-def bearing_values(histogram: BearingHistogram) -> dict[str, float]:
-    """One city's bearing features keyed by their ``BEARING_FEATURES`` name."""
-    return dict(zip(BEARING_FEATURES, (*histogram.bins, float(histogram.dominant_bin_count))))
-
-
 def assemble_features(
     cities: Sequence[str], rows: Sequence[Mapping[str, float]], mode: str = "baseline"
 ) -> FeatureMatrix:
@@ -113,7 +103,7 @@ def assemble_features(
 
     ``rows`` holds one mapping from column name to value per city: the
     ``topo_metrics`` columns, plus the ``pattern_counts`` and
-    ``bearing_values`` columns for the enhanced mode. Other keys are ignored.
+    ``bearing_histogram`` columns for the enhanced mode. Other keys are ignored.
     """
     if mode not in FEATURE_MODES:
         raise ValidationError(f"unknown feature mode {mode!r}")
@@ -121,7 +111,7 @@ def assemble_features(
         raise DataError("empty corpus: no cities to assemble")
     if len(rows) != len(cities):
         raise ValidationError(f"{len(cities)} cities but {len(rows)} feature rows")
-    names = BASELINE_FEATURES if mode == "baseline" else ENHANCED_FEATURES
+    names = FEATURE_MODES[mode]
     values = []
     for city, row in zip(cities, rows):
         missing = [name for name in names if name not in row]
@@ -133,20 +123,27 @@ def assemble_features(
     )
 
 
-def drop_features(matrix: FeatureMatrix, names: Sequence[str]) -> FeatureMatrix:
-    """Remove named columns (e.g. one of each pair correlated at |r| >= 0.9)."""
-    unknown = [n for n in names if n not in matrix.feature_names]
+def kept_features(columns: Sequence[str], drop: Sequence[str]) -> tuple[str, ...]:
+    """``columns`` without ``drop``, each of which must be one of ``columns``."""
+    unknown = [n for n in drop if n not in columns]
     if unknown:
         raise ValidationError(f"cannot drop unknown features: {unknown}")
-    keep = [i for i, n in enumerate(matrix.feature_names) if n not in set(names)]
-    if not keep:
+    kept = tuple(n for n in columns if n not in drop)
+    if not kept:
         raise ValidationError("cannot drop every feature")
+    return kept
+
+
+def drop_features(matrix: FeatureMatrix, names: Sequence[str]) -> FeatureMatrix:
+    """Remove named columns (e.g. one of each pair correlated at |r| >= 0.9)."""
+    kept = kept_features(matrix.feature_names, names)
+    keep = [i for i, n in enumerate(matrix.feature_names) if n in kept]
     return FeatureMatrix(
         cities=matrix.cities,
-        feature_names=tuple(matrix.feature_names[i] for i in keep),
+        feature_names=kept,
         values=matrix.values[:, keep],
         normalization=matrix.normalization,
-        constant_columns=tuple(n for n in matrix.constant_columns if n not in names),
+        constant_columns=tuple(n for n in matrix.constant_columns if n in kept),
     )
 
 

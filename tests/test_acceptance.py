@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cityform.clustering import davies_bouldin, kmeans, silhouette
-from cityform.features import assemble_features, bearing_histogram, bearing_values, zscore
+from cityform.features import BEARING_BINS, assemble_features, bearing_histogram, zscore
 from cityform.geometry import classify_pattern, pattern_counts
 from cityform.reduction import extract_factors
 from cityform.synth import corpus_specs, generate
@@ -178,8 +178,8 @@ def test_criterion_6_bearing_invariance():
         city = generate(spec, name=name)
         base = bearing_histogram(city)
         turned = bearing_histogram(rotate_city(city, 40.0))
-        worst = max(worst, max(abs(x - y) for x, y in zip(base.bins, turned.bins)))
-        dominant_ok = dominant_ok and base.dominant_bin_count == turned.dominant_bin_count
+        worst = max(worst, max(abs(base[name] - turned[name]) for name in BEARING_BINS))
+        dominant_ok = dominant_ok and base["dominant_bin_count"] == turned["dominant_bin_count"]
     verdict(
         6,
         "40-degree rotation leaves rotated histogram and dominant count unchanged",
@@ -195,7 +195,7 @@ def test_criterion_7_end_to_end_typology():
         city = generate(spec, name=name)
         names.append(name)
         rows.append(
-            {**topo_metrics(city), **pattern_counts(city), **bearing_values(bearing_histogram(city))}
+            {**topo_metrics(city), **pattern_counts(city), **bearing_histogram(city)}
         )
         truth.append(spec.kind)
 

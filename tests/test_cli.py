@@ -21,7 +21,8 @@ from cityform.cli import (
     write_corpus,
 )
 from cityform.errors import ValidationError
-from cityform.graph import load_boundaries, load_graph
+from cityform.features import BASELINE_FEATURES, BEARING_BINS, bearing_histogram
+from cityform.graph import clip_to_city, load_boundaries, load_graph
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,12 @@ class TestSynthCommand:
             assert not city.is_empty
             # Clipping recovers exactly the nodes written for that city.
             assert all(nid.startswith(boundary.city_name + ":") for nid in city.graph.nodes)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_cities_is_validation(self, tmp_path, capsys, count):
+        assert main(["synth", "--count", count, "--out", str(tmp_path / "s")]) == 2
+        assert f"count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_cli_entry(self, tmp_path):
         code = main([
@@ -181,10 +188,19 @@ class TestPipeline:
             )
             assert left == right, artifact
 
-    def test_validation_failure_before_compute(self, corpus, tmp_path):
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"tau": 50.0}, "tau must lie in"),
+            ({"mode": "mercator"}, "unknown coordinate mode 'mercator'"),
+            ({"feature_mode": "fancy"}, "unknown feature mode 'fancy'"),
+        ],
+        ids=["tau", "mode", "feature-mode"],
+    )
+    def test_validation_failure_before_compute(self, corpus, tmp_path, override, message):
         root, _ = corpus
-        with pytest.raises(ValidationError):
-            run_pipeline(self.config(root, tmp_path / "bad", tau=50.0))
+        with pytest.raises(ValidationError, match=message):
+            run_pipeline(self.config(root, tmp_path / "bad", **override))
         assert not (tmp_path / "bad").exists()
 
     @staticmethod
@@ -272,6 +288,24 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_k_range_flag(self, corpus, tmp_path):
+        root, _ = corpus
+        assert main(["cluster", "--k-range", "2..6"] + io_args(root, tmp_path)) == 0
+        assert [row[0] for row in read_csv(tmp_path / "elbow.csv")[1:]] == ["2", "3", "4", "5", "6"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--k-range", "2-6"] + io_args(root, tmp_path / "dash"))
+        assert exit_info.value.code == 2
+
+    def test_unexpected_exception_is_internal_error(self, corpus, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("cityform.cli.zscore", fail)
+        root, _ = corpus
+        assert main(["features"] + io_args(root, tmp_path / "out")) == 4
+        assert "internal error: boom" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dangling_link_is_data_error(self, tmp_path):
         (tmp_path / "nodes.csv").write_text("node_id,x,y\nA,0,0\nB,10,0\n")
         (tmp_path / "links.csv").write_text(
@@ -310,14 +344,48 @@ class TestRunner:
         assert main(["cluster"] + io_args(root, tmp_path / "out")) == 2
         assert not (tmp_path / "out" / "factors.json").exists()
 
-    def test_k_above_city_count_fails_before_betweenness(self, corpus, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "--k", "99"], "k must lie in 1..6, got 99"),
+            (["cluster", "--factors", "0"], "factors must lie in 1..42, got 0"),
+            (
+                ["cluster", "--feature-mode", "baseline", "--drop-features", "median_bc",
+                 "--factors", "9"],
+                "factors must lie in 1..8, got 9",
+            ),
+            (["features", "--drop-features", "nope"], "cannot drop unknown features: ['nope']"),
+            (["cluster", "--drop-features", "nope"], "cannot drop unknown features: ['nope']"),
+            (
+                ["features", "--feature-mode", "baseline", "--drop-features", *BASELINE_FEATURES],
+                "cannot drop every feature",
+            ),
+            (["cluster", "--k-range", "0..3"], "k range A..B needs 1 <= A <= B, got (0, 3)"),
+            (["cluster", "--k-range", "5..3"], "k range A..B needs 1 <= A <= B, got (5, 3)"),
+            (["pipeline", "--k-range", "9..12"], "k range must start in 1..6, got (9, 12)"),
+            (["cluster", "--k", "0"], "k must be >= 1, got 0"),
+            (["cluster", "--restarts", "0"], "restarts must be >= 1, got 0"),
+            (
+                ["features", "--dominant-threshold", "1"],
+                "dominant threshold must lie in (0, 1), got 1.0",
+            ),
+        ],
+        ids=[
+            "k-above-cities", "no-factors", "factors-above-kept", "drop-unknown-features",
+            "drop-unknown-cluster", "drop-every-feature", "k-range-from-0", "reversed-k-range",
+            "k-range-above-cities", "k-0", "restarts-0", "dominant-threshold-1",
+        ],
+    )
+    def test_bad_configuration_fails_before_betweenness(
+        self, corpus, tmp_path, monkeypatch, capsys, argv, message
+    ):
         def refuse(city):
-            raise AssertionError("computed betweenness for a k no city count allows")
+            raise AssertionError("computed betweenness for a configuration that cannot run")
 
         monkeypatch.setattr("cityform.topology.betweenness", refuse)
-        root, names = corpus
-        assert main(["cluster", "--k", "99"] + io_args(root, tmp_path / "out")) == 2
-        assert f"k must lie in 1..{len(names)}, got 99" in capsys.readouterr().err
+        root, _ = corpus
+        assert main(argv + io_args(root, tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_city_is_skipped_with_a_warning(self, corpus, tmp_path, capsys):
@@ -492,6 +560,31 @@ class TestInputFaults:
         assert main(["features"] + io_args(copy, tmp_path / "out")) == 3
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_link_without_direction_is_left_out_of_bearings(self, corpus, tmp_path):
+        root, names = corpus
+        graph = load_graph(str(root / "nodes.csv"), str(root / "links.csv"), "planar")
+        city = clip_to_city(graph, load_boundaries(str(root / "boundaries.geojson"))[0])
+        node = next(n for n in city.graph.nodes.values() if city.graph.out_degree(n.id) == 2)
+        x, y = node.location
+
+        def edit(name, data):
+            # "twin" sits on the node; the links between them have no direction.
+            if name == "nodes.csv":
+                return data + f"twin,{x!r},{y!r}\n".encode()
+            if name == "links.csv":
+                return data + f"twinlink,{node.id},twin,5,\ntwinback,twin,{node.id},5,\n".encode()
+            return data
+
+        copy = corpus_copy(corpus, tmp_path, edit)
+        assert main(["pipeline"] + io_args(copy, tmp_path / "out")) == 0
+        entry = json.loads((tmp_path / "out" / "bearing_histograms.json").read_text())[names[0]]
+        plain = bearing_histogram(city)
+        assert entry["bins"] == [plain[name] for name in BEARING_BINS]
+        assert entry["dominant_bin_count"] == plain["dominant_bin_count"]
+        # The node, now of out-degree 3, cannot be angled.
+        patterns = read_csv(tmp_path / "out" / "patterns.csv")
+        assert float(patterns[1][PATTERNS_HEADER.index("d3_other")]) > 0.0
 
     def test_bom_and_altitude_change_no_artifact(self, corpus, tmp_path):
         def edit(name, data):

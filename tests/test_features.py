@@ -9,11 +9,12 @@ import pytest
 from cityform.errors import DataError, ValidationError
 from cityform.features import (
     BASELINE_FEATURES,
+    BEARING_BINS,
+    BEARING_FEATURES,
     ENHANCED_FEATURES,
     FeatureMatrix,
     assemble_features,
     bearing_histogram,
-    bearing_values,
     drop_features,
     pearson_report,
     rotate_bins,
@@ -26,10 +27,14 @@ from cityform.topology import topo_metrics
 from helpers import make_city, make_grid_city, rotate_city
 
 
+def bins(hist):
+    return [hist[name] for name in BEARING_BINS]
+
+
 def row_for(city, mode="enhanced"):
     row = topo_metrics(city)
     if mode == "enhanced":
-        row.update(pattern_counts(city), **bearing_values(bearing_histogram(city)))
+        row.update(pattern_counts(city), **bearing_histogram(city))
     return row
 
 
@@ -58,22 +63,34 @@ class TestBearingHistogram:
             {"A": (0, 0), "B": (0, 100)}, [("A", "B"), ("B", "A")]
         )
         hist = bearing_histogram(city)
-        assert hist.dominant_bin_count == 2
-        assert hist.bins[0] == 0.5
-        assert sum(hist.bins) == pytest.approx(1.0, abs=1e-12)
+        assert hist["dominant_bin_count"] == 2
+        assert hist["bearing_bin_1"] == 0.5
+        assert sum(bins(hist)) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_aligned_grid_has_four_quarter_bins(self):
         hist = bearing_histogram(make_grid_city(10, 10, 100.0))
-        populated = [b for b in hist.bins if b > 0]
+        populated = [b for b in bins(hist) if b > 0]
         assert len(populated) == 4
         assert all(b == pytest.approx(0.25) for b in populated)
-        assert hist.dominant_bin_count == 4
+        assert hist["dominant_bin_count"] == 4
+
+    def test_keys_are_the_bearing_features_and_the_offset(self):
+        hist = bearing_histogram(make_grid_city(4, 4, 100.0))
+        assert list(hist) == [*BEARING_FEATURES, "rotation_offset"]
+        assert type(hist["dominant_bin_count"]) is int
+        assert type(hist["rotation_offset"]) is int
+
+    def test_link_without_direction_is_left_out(self):
+        street = {"A": (0, 0), "B": (0, 100)}, [("A", "B"), ("B", "A")]
+        # C sits on A: the links between them have no bearing.
+        twin = {**street[0], "C": (0, 0)}, street[1] + [("A", "C", (), 5.0), ("C", "A", (), 5.0)]
+        assert bearing_histogram(make_city(*twin)) == bearing_histogram(make_city(*street))
 
     def test_zero_link_city(self):
         hist = bearing_histogram(make_city({"A": (0, 0)}, []))
-        assert hist.bins == (0.0,) * 18
-        assert hist.dominant_bin_count == 0
-        assert hist.rotation_offset == 0
+        assert bins(hist) == [0.0] * 18
+        assert hist["dominant_bin_count"] == 0
+        assert hist["rotation_offset"] == 0
 
     def test_dominant_threshold_is_strict(self):
         # Ten equal directions at exactly 10% each: none dominate.
@@ -84,7 +101,7 @@ class TestBearingHistogram:
             nodes[f"t{i}"] = (10 * math.cos(rad), 10 * math.sin(rad))
             links.append(("o", f"t{i}"))
         hist = bearing_histogram(make_city(nodes, links))
-        assert hist.dominant_bin_count == 0
+        assert hist["dominant_bin_count"] == 0
 
     def test_rotation_by_two_bins_is_invisible(self):
         for kind, rate, jitter in (("organic", 0.4, 0.0), ("gridded", 0.2, 0.05)):
@@ -93,8 +110,8 @@ class TestBearingHistogram:
             )
             base = bearing_histogram(city)
             turned = bearing_histogram(rotate_city(city, 40.0))
-            assert turned.dominant_bin_count == base.dominant_bin_count
-            for x, y in zip(base.bins, turned.bins):
+            assert turned["dominant_bin_count"] == base["dominant_bin_count"]
+            for x, y in zip(bins(base), bins(turned)):
                 assert abs(x - y) <= 1e-9
 
     def test_dominant_count_invariant_under_any_cyclic_shift(self):

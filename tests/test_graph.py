@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cityform.errors import CityformError, DataError
+from cityform.errors import CityformError, DataError, ValidationError
 from cityform.graph import (
     _ON_BOUNDARY_EPS as EPS,
     EARTH_RADIUS_M,
     MODES,
     CityNetwork,
     GeoPoint,
+    RoadGraph,
+    RoadLink,
+    RoadNode,
     boundary_area_km2,
     clip_to_city,
     load_boundaries,
@@ -118,6 +121,25 @@ class TestLoadGraph:
         nodes, links = write_graph_files(tmp_path, ["A,200,0"], [])
         with pytest.raises(DataError, match="range"):
             load_graph(nodes, links, "geographic")
+
+
+class TestRoadGraph:
+    """The checks of a graph built directly, not through ``load_graph``."""
+
+    @pytest.mark.parametrize(
+        "to_node, length, mode, error, match",
+        [
+            ("Z", 5.0, "planar", DataError, "references missing node 'Z'"),
+            ("B", 0.0, "planar", DataError, "non-positive length 0.0"),
+            ("B", math.nan, "planar", DataError, "non-positive length nan"),
+            ("B", 5.0, "mercator", ValidationError, "unknown coordinate mode: 'mercator'"),
+        ],
+        ids=["missing-endpoint", "zero-length", "nan-length", "unknown-mode"],
+    )
+    def test_bad_graph_rejected(self, to_node, length, mode, error, match):
+        nodes = [RoadNode("A", GeoPoint(0, 0)), RoadNode("B", GeoPoint(1, 0))]
+        with pytest.raises(error, match=match):
+            RoadGraph(nodes, [RoadLink("L1", "A", to_node, (), length)], mode)
 
 
 class TestPointInPolygon:

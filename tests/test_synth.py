@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cityform.errors import ValidationError
-from cityform.features import assemble_features, bearing_histogram, bearing_values, zscore
+from cityform.features import assemble_features, bearing_histogram, zscore
 from cityform.geometry import pattern_counts
 from cityform.graph import point_in_polygon
 from cityform.synth import ArchetypeSpec, city_boundary, corpus_specs, generate
@@ -66,7 +66,7 @@ class TestOrthogonal:
 class TestOrganic:
     def test_frozen_orientation_and_pattern_profile(self):
         city = generate(spec_for("organic", size=140, jitter=0.0, dead_end_rate=0.4, seed=3))
-        assert bearing_histogram(city).dominant_bin_count <= 1
+        assert bearing_histogram(city)["dominant_bin_count"] <= 1
         counts = pattern_counts(city)
         assert 1.0 - counts["d3_t1"] > 0.5
 
@@ -131,7 +131,7 @@ class TestSeparability:
             city = generate(spec, name=name)
             names.append(name)
             rows.append(
-                {**topo_metrics(city), **pattern_counts(city), **bearing_values(bearing_histogram(city))}
+                {**topo_metrics(city), **pattern_counts(city), **bearing_histogram(city)}
             )
             kinds.append(spec.kind)
         matrix = zscore(assemble_features(names, rows, "enhanced"))
