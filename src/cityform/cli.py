@@ -369,6 +369,10 @@ def write_corpus(
     """Generate cities and write nodes/links/boundaries files for ingestion."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if size < 1:
+        raise ValidationError(f"size must be >= 1, got {size}")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValidationError(f"spacing must be positive and finite, got {spacing}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = [

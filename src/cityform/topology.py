@@ -1,10 +1,16 @@
 """Topological metrics: degree mix, betweenness centrality, density ratios.
 
 Betweenness runs on the directed graph with link lengths as weights and is
-normalized by the city's node count. Link-node ratio, network density, and
-mean link length use an undirected edge set in which opposing directed
-links between the same endpoints (lengths within 1 m) collapse into one
-street.
+normalized by the city's node count. It is exact, but Brandes' algorithm
+runs on the street core only: the dead-end trees hanging off it are pruned
+first and added back in closed form (Baglioni et al. 2012, "Fast exact
+computation of betweenness centrality in social networks"), with their
+sizes carried as node weights (Brandes 2008, "On variants of shortest-path
+betweenness centrality", Social Networks 30(2)).
+
+Link-node ratio, network density, and mean link length use an undirected
+edge set in which opposing directed links between the same endpoints
+(lengths within 1 m) collapse into one street.
 """
 
 from __future__ import annotations
@@ -59,13 +65,73 @@ def degree_profile(city: CityNetwork) -> dict[str, float]:
     }
 
 
+def _prune_trees(
+    adjacency: list[list[tuple[int, float]]],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Strip the dead-end trees hanging off the graph, leaves first.
+
+    A node is a leaf when it has one neighbour left and links run both
+    ways between them; each leaf is pruned into that neighbour, its
+    parent, until none is left. A tree that is a whole component keeps one
+    node in the core. Returns ``parent`` (-1 for core nodes), ``size``
+    (nodes in the subtree at each node, itself included: w(u) at a core
+    node u), ``squares`` (the sum of its pruned children's squared sizes)
+    and the pruned nodes in pruning order, so every child precedes its
+    parent.
+    """
+    n = len(adjacency)
+    # links[v][u]: bit 1 when a link runs v -> u, bit 2 when one runs u -> v.
+    links: list[dict[int, int]] = [{} for _ in range(n)]
+    for v, out in enumerate(adjacency):
+        for u, _ in out:
+            links[v][u] = links[v].get(u, 0) | 1
+            links[u][v] = links[u].get(v, 0) | 2
+    degree = [len(neighbours) for neighbours in links]
+    parent = [-1] * n
+    size = [1] * n
+    squares = [0] * n
+    pruned: list[int] = []
+    stack = [v for v in range(n) if degree[v] == 1]
+    while stack:
+        v = stack.pop()
+        if degree[v] != 1:  # its last neighbour was pruned into it
+            continue
+        u, both = next((u, both) for u, both in links[v].items() if parent[u] < 0)
+        if both != 3:  # a one-way leaf only reaches u or is only reached: keep it
+            continue
+        parent[v] = u
+        pruned.append(v)
+        size[u] += size[v]
+        squares[u] += size[v] * size[v]
+        degree[u] -= 1
+        if degree[u] == 1:
+            stack.append(u)
+    return parent, size, squares, pruned
+
+
 def betweenness(city: CityNetwork) -> dict[str, float]:
     """Length-weighted betweenness of each node id, normalized by n.
 
     For node i, BC(i) = (1/n) * sum over ordered pairs (a, b) with
     a != b != i of (shortest a->b paths through i) / (shortest a->b paths).
-    Unconnected pairs contribute zero. Uses Brandes-style dependency
-    accumulation over per-source Dijkstra trees.
+    Unconnected pairs contribute zero.
+
+    Exact tree-appendage pruning (Baglioni et al. 2012, "Fast exact
+    computation of betweenness centrality in social networks"): the dead-end
+    trees are stripped first (``_prune_trees``), and each core node u
+    carries the w(u) nodes of the tree hanging at it. Node-weighted Brandes
+    (Brandes 2008, "On variants of shortest-path betweenness centrality")
+    then runs from the core sources over the core graph: the Dijkstra tree
+    of source s accumulates delta(v) += sigma(v)/sigma(x) * (w(x) + delta(x))
+    and adds w(s) * delta(x) to each x != s. A tree member leaves its tree
+    only through the root, along the one tree path, so the pairs with an
+    end inside a tree add closed-form terms built from subtree sizes and
+    the weighted reach out(u) and in(u) of each root: the sums of w(b) over
+    core nodes b != u that u reaches and that reach u. A core node u with
+    t = w(u) - 1 gains t^2 - sum_c size(c)^2 + t * (out(u) + in(u)), c
+    running over its pruned children; a pruned node i with root u and
+    d = size(i) - 1 gains d^2 - sum_c size(c)^2
+    + d * (2 * (w(u) - size(i)) + out(u) + in(u)).
     """
     graph = city.graph
     n = graph.node_count
@@ -77,14 +143,26 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
         [(index[link.to_node], link.length_m) for link in graph.out_links(nid)]
         for nid in ids
     ]
+    parent, size, squares, pruned = _prune_trees(adjacency)
 
-    bc = [0.0] * n
+    # The core keeps the graph's node order and each node's link order.
+    core = [v for v in range(n) if parent[v] < 0]
+    position = {v: i for i, v in enumerate(core)}
+    core_adjacency = [
+        [(position[u], length) for u, length in adjacency[v] if parent[u] < 0]
+        for v in core
+    ]
+    weight = [float(size[v]) for v in core]
+    m = len(core)
+    bc = [0.0] * m
+    reach_in = [0.0] * m
+    reach_out = [0.0] * m
     inf = float("inf")
-    for source in range(n):
-        dist = [inf] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        settled = [False] * n
+    for source in range(m):
+        dist = [inf] * m
+        sigma = [0.0] * m
+        preds: list[list[int]] = [[] for _ in range(m)]
+        settled = [False] * m
         order: list[int] = []
         dist[source] = 0.0
         sigma[source] = 1.0
@@ -95,10 +173,10 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
                 continue
             settled[v] = True
             order.append(v)
-            for w, weight in adjacency[v]:
+            for w, length in core_adjacency[v]:
                 if settled[w]:
                     continue
-                candidate = d + weight
+                candidate = d + length
                 tol = _TIE_REL_TOL * max(candidate, dist[w]) if dist[w] < inf else 0.0
                 if candidate < dist[w] - tol:
                     dist[w] = candidate
@@ -109,14 +187,32 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
 
-        delta = [0.0] * n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                bc[w] += delta[w]
+        delta = [0.0] * m
+        source_weight = weight[source]
+        reached = 0.0
+        for x in reversed(order):
+            for v in preds[x]:
+                delta[v] += sigma[v] / sigma[x] * (weight[x] + delta[x])
+            if x != source:
+                bc[x] += source_weight * delta[x]
+                reach_in[x] += source_weight
+                reached += weight[x]
+        reach_out[source] = reached
 
-    return {nid: bc[index[nid]] / n for nid in ids}
+    total = [0.0] * n
+    root = list(range(n))
+    for i, u in enumerate(core):
+        t = size[u] - 1
+        total[u] = bc[i] + (t * t - squares[u] + t * (reach_out[i] + reach_in[i]))
+    # Parents are pruned after their children, so walk back to the roots.
+    for v in reversed(pruned):
+        u = root[v] = root[parent[v]]
+        d = size[v] - 1
+        i = position[u]
+        total[v] = d * d - squares[v] + d * (
+            2 * (size[u] - size[v]) + reach_out[i] + reach_in[i]
+        )
+    return {nid: total[i] / n for i, nid in enumerate(ids)}
 
 
 def undirected_edge_lengths(city: CityNetwork) -> list[float]:

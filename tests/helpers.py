@@ -1,8 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 Oracles deliberately use different algorithms than the library: path
-counting by sorted-distance DP instead of Brandes accumulation, plain-loop
-index formulas instead of vectorized ones, characteristic-polynomial root
+counting by sorted-distance DP instead of Brandes accumulation, plain
+Brandes from every source instead of weighted Brandes on the core left
+after tree pruning, plain-loop index formulas instead of vectorized ones, characteristic-polynomial root
 bisection instead of a packaged eigensolver, explicit plane rotation instead of
 atan2 differences, and a per-point ring loop instead of the clip's
 per-edge array pass.
@@ -27,6 +28,7 @@ from cityform.graph import (
     RoadNode,
     polyline_length_m,
 )
+from cityform.topology import _TIE_REL_TOL
 
 INF = float("inf")
 
@@ -181,6 +183,60 @@ def brute_force_betweenness(city: CityNetwork) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
+# Scalar Brandes oracle: plain length-weighted Brandes from every source,
+# with the library's tie rule and no pruning. Brute force cannot reach
+# graphs of a few hundred nodes; this can.
+# ---------------------------------------------------------------------------
+
+
+def brandes_oracle(city: CityNetwork) -> dict[str, float]:
+    graph = city.graph
+    n = graph.node_count
+    ids = list(graph.nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    adjacency = [
+        [(index[link.to_node], link.length_m) for link in graph.out_links(nid)]
+        for nid in ids
+    ]
+    bc = [0.0] * n
+    for source in range(n):
+        dist = [INF] * n
+        sigma = [0.0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        settled = [False] * n
+        order: list[int] = []
+        dist[source] = 0.0
+        sigma[source] = 1.0
+        heap = [(0.0, source)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if settled[v]:
+                continue
+            settled[v] = True
+            order.append(v)
+            for w, weight in adjacency[v]:
+                if settled[w]:
+                    continue
+                candidate = d + weight
+                tol = _TIE_REL_TOL * max(candidate, dist[w]) if dist[w] < INF else 0.0
+                if candidate < dist[w] - tol:
+                    dist[w] = candidate
+                    sigma[w] = sigma[v]
+                    preds[w] = [v]
+                    heapq.heappush(heap, (candidate, w))
+                elif abs(candidate - dist[w]) <= tol:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != source:
+                bc[w] += delta[w]
+    return {nid: bc[index[nid]] / n for nid in ids}
+
+
+# ---------------------------------------------------------------------------
 # Clip membership oracle: even-odd ray casting, one point and one edge at a
 # time, with the clip's arithmetic, so it agrees with ``clip_to_city`` node
 # for node.
@@ -227,6 +283,65 @@ def random_directed_city(rng, max_nodes: int = 30) -> CityNetwork:
                 links.append((f"v{i}", f"v{j}", (), float(rng.randint(1, 9))))
     if not links:
         links = [(f"v0", f"v1", (), 1.0)]
+    return make_city(nodes, links)
+
+
+def random_appendage_city(rng) -> CityNetwork:
+    """Random core with the cases tree pruning must get right, integer lengths.
+
+    Two-way trees and chains are grafted onto the core and onto each other;
+    then come one-way leaves (in and out), leaves joined by parallel two-way
+    links, isolated nodes and components that are whole trees (a pair, a
+    path or a random tree). Integer lengths make ties.
+    """
+    links = []
+    count = 0
+
+    def node() -> str:
+        nonlocal count
+        count += 1
+        return f"v{count - 1}"
+
+    def two_way(u: str, v: str) -> None:
+        links.append((u, v, (), float(rng.randint(1, 5))))
+        links.append((v, u, (), float(rng.randint(1, 5))))
+
+    core = [node() for _ in range(rng.randint(0, 8))]
+    density = rng.uniform(0.1, 0.5)
+    for u in core:
+        for v in core:
+            if u != v and rng.random() < density:
+                links.append((u, v, (), float(rng.randint(1, 5))))
+    attach = list(core)
+    for _ in range(rng.randint(0, 4) if core else 0):
+        # A tree or, one node at a time down one branch, a chain.
+        tip = rng.choice(attach)
+        chain = rng.random() < 0.4
+        for _ in range(rng.randint(1, 5)):
+            leaf = node()
+            two_way(tip if chain else rng.choice(attach), leaf)
+            attach.append(leaf)
+            tip = leaf
+    for _ in range(rng.randint(0, 2) if attach else 0):
+        leaf = node()
+        u = rng.choice(attach)
+        ends = (leaf, u) if rng.random() < 0.5 else (u, leaf)
+        links.append((*ends, (), 1.0))
+    for _ in range(rng.randint(0, 2) if attach else 0):
+        leaf = node()
+        u = rng.choice(attach)
+        two_way(u, leaf)
+        ends = (leaf, u) if rng.random() < 0.5 else (u, leaf)
+        links.append((*ends, (), float(rng.randint(1, 5))))
+    for _ in range(rng.randint(0, 2)):
+        node()
+    for _ in range(rng.randint(0, 2)):
+        members = [node() for _ in range(rng.randint(2, 6))]
+        for i in range(1, len(members)):
+            two_way(members[rng.randrange(i)], members[i])
+    if count == 0:
+        node()
+    nodes = {f"v{i}": (float(i), 0.0) for i in range(count)}
     return make_city(nodes, links)
 
 

@@ -71,6 +71,22 @@ class TestSynthCommand:
         assert f"count must be >= 1, got {count}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--size", "-5", "size must be >= 1, got -5"),
+            ("--size", "0", "size must be >= 1, got 0"),
+            ("--spacing", "nan", "spacing must be positive and finite, got nan"),
+            ("--spacing", "inf", "spacing must be positive and finite, got inf"),
+            ("--spacing", "-100", "spacing must be positive and finite, got -100.0"),
+            ("--spacing", "0", "spacing must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_bad_size_or_spacing_is_validation(self, tmp_path, capsys, flag, value, message):
+        assert main(["synth", "--count", "1", flag, value, "--out", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_cli_entry(self, tmp_path):
         code = main([
             "synth", "--kind", "gridded", "--count", "1", "--seed", "3",

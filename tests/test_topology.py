@@ -1,11 +1,13 @@
 """Topology metrics: degree profiles, betweenness, geometric summaries."""
 
+import dataclasses
 import random
 
 import pytest
 
 from cityform.errors import EmptyCityError
 from cityform.graph import CityNetwork, RoadGraph
+from cityform.synth import ARCHETYPES, corpus_specs, generate
 from cityform.topology import (
     DEGREE_FEATURES,
     METRIC_COLUMNS,
@@ -16,7 +18,14 @@ from cityform.topology import (
     undirected_edge_lengths,
 )
 
-from helpers import brute_force_betweenness, make_city, make_grid_city, random_directed_city
+from helpers import (
+    brandes_oracle,
+    brute_force_betweenness,
+    make_city,
+    make_grid_city,
+    random_appendage_city,
+    random_directed_city,
+)
 
 
 def two_way(links):
@@ -120,6 +129,29 @@ class TestBetweenness:
             for nid in fast:
                 assert fast[nid] == pytest.approx(slow[nid], abs=1e-9)
 
+    def test_matches_brute_force_with_tree_appendages(self):
+        # Trees, chains, one-way and parallel-link leaves, isolated nodes and
+        # whole-tree components, with ties from integer lengths.
+        rng = random.Random(2012)
+        for _ in range(400):
+            city = random_appendage_city(rng)
+            fast = betweenness(city)
+            slow = brute_force_betweenness(city)
+            assert list(fast) == list(city.graph.nodes)
+            for nid in fast:
+                assert fast[nid] == pytest.approx(slow[nid], abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ARCHETYPES)
+    def test_matches_plain_brandes_on_a_synthetic_city(self, kind):
+        _, spec = corpus_specs(1, seed=0, base_size=400)[ARCHETYPES.index(kind)]
+        city = generate(dataclasses.replace(spec, size=400))
+        assert degree_profile(city)["prop_deg1"] > 0.05  # dead ends to prune
+        fast = betweenness(city)
+        slow = brandes_oracle(city)
+        assert list(fast) == list(slow)
+        for nid in fast:
+            assert abs(fast[nid] - slow[nid]) <= 1e-12 * abs(slow[nid])
+
     def test_scaling_invariance(self):
         rng = random.Random(9)
         city = random_directed_city(rng, max_nodes=20)
@@ -142,6 +174,36 @@ class TestBetweenness:
             values[n // 2] if n % 2 else (values[n // 2 - 1] + values[n // 2]) / 2
         )
         assert topo_metrics(city)["median_bc"] == pytest.approx(expected, abs=1e-15)
+
+
+# Four nodes; every link is 100 m long.
+_NODES = {name: (100.0 * i, 0.0) for i, name in enumerate("ABCD")}
+
+
+@pytest.mark.parametrize(
+    "links, expected",
+    [
+        (two_way([("A", "B"), ("B", "C"), ("C", "D")]), {"A": 0, "B": 1, "C": 1, "D": 0}),
+        # B is the centre: 3 * 2 ordered leaf pairs over n = 4.
+        (two_way([("B", "A"), ("B", "C"), ("B", "D")]), {"A": 0, "B": 1.5, "C": 0, "D": 0}),
+        (two_way([("A", "B")]), {"A": 0, "B": 0, "C": 0, "D": 0}),
+        # D is joined to C one way only, in or out: it is never pruned.
+        (two_way([("A", "B"), ("B", "C")]) + [("C", "D")], {"A": 0, "B": 0.75, "C": 0.5, "D": 0}),
+        (two_way([("A", "B"), ("B", "C")]) + [("D", "C")], {"A": 0, "B": 0.75, "C": 0.5, "D": 0}),
+        # D hangs at A by two links out and one in: A is on all of D's pairs.
+        (
+            two_way([("A", "B"), ("B", "C"), ("C", "A")]) + [("D", "A"), ("D", "A"), ("A", "D")],
+            {"A": 1, "B": 0, "C": 0, "D": 0},
+        ),
+    ],
+    ids=["two-way-path", "star", "two-node-pair", "one-way-in-leaf", "one-way-out-leaf",
+         "parallel-link-leaf"],
+)
+def test_betweenness_on_tree_cases(links, expected):
+    city = make_city(_NODES, [(u, v, (), 100.0) for u, v in links])
+    result = betweenness(city)
+    assert result == pytest.approx(expected, abs=1e-12)
+    assert result == pytest.approx(brute_force_betweenness(city), abs=1e-12)
 
 
 class TestGeometricSummaries:
