@@ -70,6 +70,17 @@ COMMAND_ARTIFACTS = {
     "pipeline": PIPELINE_ARTIFACTS + ("run_manifest.json",),
 }
 
+# The stages behind each artifact that refuse too few cities (``zscore``,
+# ``pearson_report``, ``extract_factors``), in the order they run:
+# (fewest cities, stage).
+_CITY_MINIMA = {
+    "correlations.csv": ((2, "z-score"), (3, "correlation")),
+    **dict.fromkeys(
+        ("factors.json", "clusters.csv", "evaluation.json", "elbow.csv"),
+        ((2, "z-score"), (3, "factor extraction")),
+    ),
+}
+
 
 @dataclass
 class RunConfig:
@@ -330,6 +341,12 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
         raise ValidationError(f"k must lie in 1..{n_cities}, got {config.k}")
     if "elbow.csv" in artifacts and config.k_range and config.k_range[0] > n_cities:
         raise ValidationError(f"k range must start in 1..{n_cities}, got {config.k_range}")
+    # Artifacts in writing order, stages in running order: the first stage
+    # to refuse is the one the run would reach after the betweenness.
+    for name in artifacts:
+        for fewest, stage in _CITY_MINIMA.get(name, ()):
+            if n_cities < fewest:
+                raise ValidationError(f"{stage} needs at least {fewest} cities")
     out = Path(config.out_dir)
     # Deepest first, so each directory is empty by the time it is reached.
     missing_dirs = [d for d in (out, *out.parents) if not d.exists()]

@@ -315,6 +315,8 @@ def clip_to_city(graph: RoadGraph, boundary: CityBoundary) -> CityNetwork:
     if graph.node_count == 0:
         raise EmptyCityError("cannot clip an empty regional graph")
     area = boundary_area_km2(boundary, graph.mode)
+    if not math.isfinite(area):
+        raise DataError(f"boundary {boundary.city_name!r} has a non-finite area ({area} km^2)")
     if area <= 0.0:
         raise DataError(f"boundary {boundary.city_name!r} has zero area")
     nodes = list(graph.nodes.values())

@@ -158,46 +158,80 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
     reach_in = [0.0] * m
     reach_out = [0.0] * m
     inf = float("inf")
+    rel = _TIE_REL_TOL
+    pop, push = heappop, heappush
     for source in range(m):
         dist = [inf] * m
         sigma = [0.0] * m
-        preds: list[list[int]] = [[] for _ in range(m)]
+        # A node's predecessors: None before it is reached, the index of its
+        # sole predecessor while it has one, a list from its first tie on.
+        preds: list[int | list[int] | None] = [None] * m
         settled = [False] * m
         order: list[int] = []
         dist[source] = 0.0
         sigma[source] = 1.0
         heap: list[tuple[float, int]] = [(0.0, source)]
         while heap:
-            d, v = heappop(heap)
+            d, v = pop(heap)
             if settled[v]:
                 continue
             settled[v] = True
             order.append(v)
+            sigma_v = sigma[v]
             for w, length in core_adjacency[v]:
                 if settled[w]:
                     continue
                 candidate = d + length
-                tol = _TIE_REL_TOL * max(candidate, dist[w]) if dist[w] < inf else 0.0
-                if candidate < dist[w] - tol:
+                dw = dist[w]
+                # The tie rule is |candidate - dw| <= rel * max(candidate, dw)
+                # and an improvement is candidate < dw - rel * max(candidate, dw),
+                # split by which side is larger so that each branch evaluates
+                # the same float expressions. candidate >= dw (dw finite):
+                # the max is candidate, and dw - rel * candidate <= dw rules out
+                # an improvement. candidate < dw: the max is dw; when dw is inf
+                # every candidate improves, and the test below would read
+                # inf - rel * inf, which is NaN. fl(dw - candidate) equals
+                # |fl(candidate - dw)|, since rounding is symmetric. A sum that
+                # overflows to inf against an unreached inf makes inf - inf,
+                # NaN: no tie, as before.
+                if candidate >= dw:
+                    if not candidate - dw <= rel * candidate:
+                        continue
+                elif dw == inf or candidate < dw - rel * dw:
                     dist[w] = candidate
-                    sigma[w] = sigma[v]
-                    preds[w] = [v]
-                    heappush(heap, (candidate, w))
-                elif abs(candidate - dist[w]) <= tol:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
+                    sigma[w] = sigma_v
+                    preds[w] = v
+                    push(heap, (candidate, w))
+                    continue
+                elif dw - candidate > rel * dw:
+                    continue
+                sigma[w] += sigma_v
+                p = preds[w]
+                if p.__class__ is int:
+                    preds[w] = [p, v]
+                else:
+                    p.append(v)
 
+        # The source is settled first and has no predecessors, so the sweep
+        # stops short of it. A sole predecessor p of x set sigma[x] to
+        # sigma[p] and nothing added to it since, so sigma[p] / sigma[x] is
+        # exactly 1.0 and multiplying by it changes nothing: the term is
+        # added as it stands. A tied x keeps the ratio.
         delta = [0.0] * m
         source_weight = weight[source]
-        reached = 0.0
-        for x in reversed(order):
-            for v in preds[x]:
-                delta[v] += sigma[v] / sigma[x] * (weight[x] + delta[x])
-            if x != source:
-                bc[x] += source_weight * delta[x]
-                reach_in[x] += source_weight
-                reached += weight[x]
-        reach_out[source] = reached
+        for x in order[:0:-1]:
+            p = preds[x]
+            flow = weight[x] + delta[x]
+            if p.__class__ is int:
+                delta[p] += flow
+            else:
+                sigma_x = sigma[x]
+                for v in p:
+                    delta[v] += sigma[v] / sigma_x * flow
+            bc[x] += source_weight * delta[x]
+            reach_in[x] += source_weight
+        # Integer-valued weights: the sum is exact in any order.
+        reach_out[source] = sum([weight[x] for x in order[1:]])
 
     total = [0.0] * n
     root = list(range(n))

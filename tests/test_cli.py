@@ -361,45 +361,58 @@ class TestRunner:
         assert not (tmp_path / "out" / "factors.json").exists()
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, cities",
         [
-            (["cluster", "--k", "99"], "k must lie in 1..6, got 99"),
-            (["cluster", "--factors", "0"], "factors must lie in 1..42, got 0"),
+            (["cluster", "--k", "99"], "k must lie in 1..6, got 99", None),
+            (["cluster", "--factors", "0"], "factors must lie in 1..42, got 0", None),
             (
                 ["cluster", "--feature-mode", "baseline", "--drop-features", "median_bc",
                  "--factors", "9"],
                 "factors must lie in 1..8, got 9",
+                None,
             ),
-            (["features", "--drop-features", "nope"], "cannot drop unknown features: ['nope']"),
-            (["cluster", "--drop-features", "nope"], "cannot drop unknown features: ['nope']"),
+            (["features", "--drop-features", "nope"], "cannot drop unknown features: ['nope']", None),
+            (["cluster", "--drop-features", "nope"], "cannot drop unknown features: ['nope']", None),
             (
                 ["features", "--feature-mode", "baseline", "--drop-features", *BASELINE_FEATURES],
                 "cannot drop every feature",
+                None,
             ),
-            (["cluster", "--k-range", "0..3"], "k range A..B needs 1 <= A <= B, got (0, 3)"),
-            (["cluster", "--k-range", "5..3"], "k range A..B needs 1 <= A <= B, got (5, 3)"),
-            (["pipeline", "--k-range", "9..12"], "k range must start in 1..6, got (9, 12)"),
-            (["cluster", "--k", "0"], "k must be >= 1, got 0"),
-            (["cluster", "--restarts", "0"], "restarts must be >= 1, got 0"),
+            (["cluster", "--k-range", "0..3"], "k range A..B needs 1 <= A <= B, got (0, 3)", None),
+            (["cluster", "--k-range", "5..3"], "k range A..B needs 1 <= A <= B, got (5, 3)", None),
+            (["pipeline", "--k-range", "9..12"], "k range must start in 1..6, got (9, 12)", None),
+            (["cluster", "--k", "0"], "k must be >= 1, got 0", None),
+            (["cluster", "--restarts", "0"], "restarts must be >= 1, got 0", None),
             (
                 ["features", "--dominant-threshold", "1"],
                 "dominant threshold must lie in (0, 1), got 1.0",
+                None,
             ),
+            (["features"], "z-score needs at least 2 cities", 1),
+            (["pipeline", "--k", "1"], "z-score needs at least 2 cities", 1),
+            (["pipeline", "--k", "2"], "correlation needs at least 3 cities", 2),
+            (["cluster", "--k", "2"], "factor extraction needs at least 3 cities", 2),
         ],
         ids=[
             "k-above-cities", "no-factors", "factors-above-kept", "drop-unknown-features",
             "drop-unknown-cluster", "drop-every-feature", "k-range-from-0", "reversed-k-range",
             "k-range-above-cities", "k-0", "restarts-0", "dominant-threshold-1",
+            "features-on-1-city", "pipeline-on-1-city", "pipeline-on-2-cities",
+            "cluster-on-2-cities",
         ],
     )
     def test_bad_configuration_fails_before_betweenness(
-        self, corpus, tmp_path, monkeypatch, capsys, argv, message
+        self, corpus, tmp_path, monkeypatch, capsys, argv, message, cities
     ):
         def refuse(city):
             raise AssertionError("computed betweenness for a configuration that cannot run")
 
         monkeypatch.setattr("cityform.topology.betweenness", refuse)
         root, _ = corpus
+        if cities is not None:  # keep the first boundaries only
+            doc = json.loads((root / "boundaries.geojson").read_text())
+            doc["features"] = doc["features"][:cities]
+            root = corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
         assert main(argv + io_args(root, tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -575,6 +588,16 @@ class TestInputFaults:
         copy = corpus_copy(corpus, tmp_path, edit)
         assert main(["features"] + io_args(copy, tmp_path / "out")) == 3
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "metrics"])
+    def test_non_finite_area_is_data_error(self, corpus, tmp_path, capsys, command):
+        # Every vertex is finite, but the shoelace sum overflows to inf.
+        huge = [[[-1e300, -1e300], [1e300, -1e300], [1e300, 1e300], [-1e300, 1e300]]]
+        doc = {"type": "FeatureCollection", "features": [feature("huge", huge)]}
+        copy = corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
+        assert main([command] + io_args(copy, tmp_path / "out")) == 3
+        assert "boundary 'huge' has a non-finite area" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_link_without_direction_is_left_out_of_bearings(self, corpus, tmp_path):

@@ -206,6 +206,47 @@ def test_betweenness_on_tree_cases(links, expected):
     assert result == pytest.approx(brute_force_betweenness(city), abs=1e-12)
 
 
+# Shortest-path ties: D is reached from A over B and over C, so its sole
+# predecessor becomes a list of two; with B3, a list of three. The second
+# path is longer by `excess` (relative to the 200 m path): 1e-13 is within
+# the tie tolerance, 1e-11 is not. B's link to D is the longer one, so from A
+# the longer path is found first and the shorter one ties with or replaces
+# it; from D it is found second.
+def _diamond(excess):
+    nodes = {"A": (0, 0), "B": (100, 100), "C": (100, -100), "D": (200, 0)}
+    lengths = {("A", "B"): 100.0, ("B", "D"): 100.0 + 200.0 * excess,
+               ("A", "C"): 100.0, ("C", "D"): 100.0}
+    links = [(u, v, (), length) for (a, b), length in lengths.items() for u, v in ((a, b), (b, a))]
+    return make_city(nodes, links)
+
+
+def _three_paths():
+    nodes = {"A": (0, 0), "B1": (100, 100), "B2": (100, 0), "B3": (100, -100), "D": (200, 0)}
+    links = [(u, v, (), 100.0) for b in ("B1", "B2", "B3") for u, v in two_way([("A", b), (b, "D")])]
+    return make_city(nodes, links)
+
+
+@pytest.mark.parametrize(
+    "city, expected",
+    [
+        # A 4-cycle: each node is on one of the two paths between its
+        # neighbours, both ways: 2 * 1/2 over n = 4.
+        (_diamond(0.0), {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}),
+        # A and D are on half the paths between two Bs (6 ordered pairs,
+        # 3 / 5); each B is on a third of the A-D paths (2/3 / 5).
+        (_three_paths(), {"A": 0.6, "D": 0.6, "B1": 2 / 15, "B2": 2 / 15, "B3": 2 / 15}),
+        (_diamond(1e-13), {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}),
+        # No tie: A-D runs over C and B-C over A, both ways.
+        (_diamond(1e-11), {"A": 0.5, "B": 0.0, "C": 0.5, "D": 0.0}),
+    ],
+    ids=["two-paths", "three-paths", "within-tie-tolerance", "outside-tie-tolerance"],
+)
+def test_betweenness_on_tied_paths(city, expected):
+    result = betweenness(city)
+    assert result == pytest.approx(expected, abs=1e-12)
+    assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
+
+
 class TestGeometricSummaries:
     def test_grid_3x3(self):
         city = make_grid_city(3, 3, 100.0, area_km2=0.04)
