@@ -37,7 +37,7 @@ from .features import (
     pearson_report,
     zscore,
 )
-from .geometry import DEFAULT_TAU_DEG, PATTERN_COLUMNS, node_patterns, pattern_counts
+from .geometry import DEFAULT_TAU_DEG, PATTERN_COLUMNS, check_tau, node_patterns, pattern_counts
 from .graph import LINKS_HEADER, NODES_HEADER, CityNetwork, clip_to_city, load_boundaries, load_graph
 from .reduction import extract_factors
 from .synth import ARCHETYPES, city_boundary, corpus_specs, generate
@@ -70,14 +70,13 @@ COMMAND_ARTIFACTS = {
     "pipeline": PIPELINE_ARTIFACTS + ("run_manifest.json",),
 }
 
-# The stages behind each artifact that refuse too few cities (``zscore``,
-# ``pearson_report``, ``extract_factors``), in the order they run:
-# (fewest cities, stage).
+# The stage behind each artifact that refuses too few cities
+# (``pearson_report``, ``extract_factors``): (fewest cities, stage). The
+# z-score these run on needs only 2, so it never refuses first.
 _CITY_MINIMA = {
-    "correlations.csv": ((2, "z-score"), (3, "correlation")),
+    "correlations.csv": (3, "correlation"),
     **dict.fromkeys(
-        ("factors.json", "clusters.csv", "evaluation.json", "elbow.csv"),
-        ((2, "z-score"), (3, "factor extraction")),
+        ("factors.json", "clusters.csv", "evaluation.json", "elbow.csv"), (3, "factor extraction")
     ),
 }
 
@@ -113,8 +112,6 @@ class RunConfig:
         ):
             if not Path(path).is_file():
                 raise ValidationError(f"{label} file does not exist: {path}")
-        if self.mode not in _MODE_NAMES.values():
-            raise ValidationError(f"unknown coordinate mode {self.mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValidationError(f"unknown feature mode {self.feature_mode!r}")
         features = kept_features(FEATURE_MODES[self.feature_mode], self.drop)
@@ -122,23 +119,13 @@ class RunConfig:
             raise ValidationError(
                 f"factors must lie in 1..{len(features)}, got {self.factors_override}"
             )
-        if not 0.0 < self.tau < 45.0:
-            raise ValidationError(f"tau must lie in (0, 45), got {self.tau}")
+        check_tau(self.tau)
         if not 0.0 < self.dominant_threshold < 1.0:
             raise ValidationError(
                 f"dominant threshold must lie in (0, 1), got {self.dominant_threshold}"
             )
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.k_range is not None and not 1 <= self.k_range[0] <= self.k_range[1]:
-            raise ValidationError(f"k range A..B needs 1 <= A <= B, got {self.k_range}")
-
-
-def config_from_manifest(manifest: dict) -> RunConfig:
-    """Rebuild the RunConfig recorded by a previous pipeline run."""
-    return RunConfig(**manifest["config"])
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +321,22 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     if unknown:
         raise ValidationError(f"unknown artifacts: {unknown}")
     run = _Run(config)
-    # k-means needs no more clusters than cities; say so before any
-    # betweenness is computed.
+    # The city count is known right after clipping: check what depends on
+    # it before any betweenness is computed.
     n_cities = len(run.cities)
-    if {"clusters.csv", "evaluation.json"} & set(artifacts) and config.k > n_cities:
+    if {"clusters.csv", "evaluation.json"} & set(artifacts) and not 1 <= config.k <= n_cities:
         raise ValidationError(f"k must lie in 1..{n_cities}, got {config.k}")
-    if "elbow.csv" in artifacts and config.k_range and config.k_range[0] > n_cities:
-        raise ValidationError(f"k range must start in 1..{n_cities}, got {config.k_range}")
-    # Artifacts in writing order, stages in running order: the first stage
-    # to refuse is the one the run would reach after the betweenness.
+    if "elbow.csv" in artifacts and config.k_range:
+        if not 1 <= config.k_range[0] <= min(config.k_range[1], n_cities):
+            raise ValidationError(
+                f"k range A..B needs 1 <= A <= min(B, {n_cities} cities), got {config.k_range}"
+            )
+    # Artifacts in writing order: the first to refuse is the one the run
+    # would reach after the betweenness.
     for name in artifacts:
-        for fewest, stage in _CITY_MINIMA.get(name, ()):
-            if n_cities < fewest:
-                raise ValidationError(f"{stage} needs at least {fewest} cities")
+        fewest, stage = _CITY_MINIMA.get(name, (0, ""))
+        if n_cities < fewest:
+            raise ValidationError(f"{stage} needs at least {fewest} cities")
     out = Path(config.out_dir)
     # Deepest first, so each directory is empty by the time it is reached.
     missing_dirs = [d for d in (out, *out.parents) if not d.exists()]

@@ -44,14 +44,15 @@ PATTERN_COLUMNS = tuple(f"d{degree}_{tag}" for degree in (3, 4) for tag in _PATT
 _COINCIDENT_EPS = 1e-12
 
 
-def _check_tau(tau: float) -> None:
+def check_tau(tau: float) -> None:
+    """Refuse an angle tolerance outside (0, 45) degrees."""
     if not 0.0 < tau < 45.0:
-        raise ValidationError(f"angle tolerance tau must lie in (0, 45), got {tau}")
+        raise ValidationError(f"tau must lie in (0, 45), got {tau}")
 
 
 def categorize(value: float, tau: float = DEFAULT_TAU_DEG) -> str:
     """Bucket an angle in [0, 360) into one of the five categories."""
-    _check_tau(tau)
+    check_tau(tau)
     if abs(value - 90.0) <= tau:
         return RIGHT
     if abs(value - 180.0) <= tau:
@@ -192,7 +193,7 @@ class NodePattern:
 
 def node_patterns(city: CityNetwork, tau: float = DEFAULT_TAU_DEG) -> list[NodePattern]:
     """Classify every node with out-degree exactly 3 or 4."""
-    _check_tau(tau)
+    check_tau(tau)
     patterns = []
     for node in city.graph.nodes.values():
         degree = city.graph.out_degree(node.id)

@@ -67,8 +67,8 @@ class ArchetypeSpec:
             raise ValidationError(f"unknown archetype {self.kind!r}")
         if self.size < 9:
             raise ValidationError(f"size too small: {self.size} (need at least 9 nodes)")
-        if self.spacing <= 0:
-            raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
         if not 0.0 <= self.jitter < 0.5:
             raise ValidationError(f"jitter must lie in [0, 0.5), got {self.jitter}")
         if not 0.0 <= self.dead_end_rate < 1.0:

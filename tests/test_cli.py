@@ -15,7 +15,6 @@ from cityform.cli import (
     PATTERNS_HEADER,
     PIPELINE_ARTIFACTS,
     RunConfig,
-    config_from_manifest,
     main,
     run_pipeline,
     write_corpus,
@@ -188,7 +187,7 @@ class TestPipeline:
         run_pipeline(config)
         manifest = json.loads((tmp_path / "run2" / "run_manifest.json").read_text())
         assert manifest["tool"] == "cityform"
-        rebuilt = config_from_manifest(manifest)
+        rebuilt = RunConfig(**manifest["config"])
         assert rebuilt == config
 
     def test_identical_runs_are_byte_identical(self, corpus, tmp_path):
@@ -208,7 +207,7 @@ class TestPipeline:
         "override, message",
         [
             ({"tau": 50.0}, "tau must lie in"),
-            ({"mode": "mercator"}, "unknown coordinate mode 'mercator'"),
+            ({"mode": "mercator"}, "unknown coordinate mode: 'mercator'"),
             ({"feature_mode": "fancy"}, "unknown feature mode 'fancy'"),
         ],
         ids=["tau", "mode", "feature-mode"],
@@ -217,6 +216,12 @@ class TestPipeline:
         root, _ = corpus
         with pytest.raises(ValidationError, match=message):
             run_pipeline(self.config(root, tmp_path / "bad", **override))
+        assert not (tmp_path / "bad").exists()
+
+    def test_unknown_artifact_is_validation(self, corpus, tmp_path):
+        root, _ = corpus
+        with pytest.raises(ValidationError, match=r"unknown artifacts: \['nope.csv'\]"):
+            run_pipeline(self.config(root, tmp_path / "bad"), ("metrics.csv", "nope.csv"))
         assert not (tmp_path / "bad").exists()
 
     @staticmethod
@@ -378,18 +383,30 @@ class TestRunner:
                 "cannot drop every feature",
                 None,
             ),
-            (["cluster", "--k-range", "0..3"], "k range A..B needs 1 <= A <= B, got (0, 3)", None),
-            (["cluster", "--k-range", "5..3"], "k range A..B needs 1 <= A <= B, got (5, 3)", None),
-            (["pipeline", "--k-range", "9..12"], "k range must start in 1..6, got (9, 12)", None),
-            (["cluster", "--k", "0"], "k must be >= 1, got 0", None),
+            (
+                ["cluster", "--k-range", "0..3"],
+                "k range A..B needs 1 <= A <= min(B, 6 cities), got (0, 3)",
+                None,
+            ),
+            (
+                ["cluster", "--k-range", "5..3"],
+                "k range A..B needs 1 <= A <= min(B, 6 cities), got (5, 3)",
+                None,
+            ),
+            (
+                ["pipeline", "--k-range", "9..12"],
+                "k range A..B needs 1 <= A <= min(B, 6 cities), got (9, 12)",
+                None,
+            ),
+            (["cluster", "--k", "0"], "k must lie in 1..6, got 0", None),
             (["cluster", "--restarts", "0"], "restarts must be >= 1, got 0", None),
             (
                 ["features", "--dominant-threshold", "1"],
                 "dominant threshold must lie in (0, 1), got 1.0",
                 None,
             ),
-            (["features"], "z-score needs at least 2 cities", 1),
-            (["pipeline", "--k", "1"], "z-score needs at least 2 cities", 1),
+            (["features"], "correlation needs at least 3 cities", 1),
+            (["pipeline", "--k", "1"], "correlation needs at least 3 cities", 1),
             (["pipeline", "--k", "2"], "correlation needs at least 3 cities", 2),
             (["cluster", "--k", "2"], "factor extraction needs at least 3 cities", 2),
         ],
@@ -576,12 +593,38 @@ class TestInputFaults:
                 lambda name, data: b"[" * 100_000 if name == "boundaries.geojson" else data,
                 "boundaries.geojson",
             ),
+            (
+                boundaries_replaced({"type": "FeatureCollection",
+                                     "features": [feature("flat", [[[0, 0], [10, 0], [20, 0]]])]}),
+                "boundary 'flat' has zero area",
+            ),
+            (appended("nodes.csv", b"nanx,nan,0\n"), "non-finite x: 'nan'"),
+            (
+                lambda name, data: {
+                    "nodes.csv": data + b"p,0,0\nq,10,0\n",
+                    "links.csv": data + b"pq,p,q,5,1 2 3\n",
+                }.get(name, data),
+                "malformed shape point '1 2 3'",
+            ),
+            (
+                boundaries_replaced({"type": "FeatureCollection", "features": [{
+                    "type": "Feature", "properties": {"name": "pin"},
+                    "geometry": {"type": "Point", "coordinates": [0, 0]},
+                }]}),
+                "feature 'pin' has unsupported geometry type 'Point'",
+            ),
+            (
+                lambda name, data: data.split(b"\n", 1)[0] + b"\n" if name.endswith(".csv") else data,
+                "cannot clip an empty regional graph",
+            ),
         ],
         ids=[
             "nan-vertex", "1e400-vertex", "400-digit-vertex", "bool-vertex", "string-vertex",
             "string-altitude", "bool-altitude", "null-altitude",
             "0xff-nodes", "0xff-links",
             "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
+            "zero-area-boundary", "nan-node-x", "three-number-shape-point", "point-geometry",
+            "header-only-csvs",
         ],
     )
     def test_bad_input_is_data_error(self, corpus, tmp_path, capsys, edit, named):

@@ -290,3 +290,13 @@ class TestLinkBearing:
             {"A": (179.9999, 0), "B": (-179.9999, 0)}, [("A", "B")], mode="geographic"
         )
         assert link_bearing(city.graph.links[0], city.graph) == pytest.approx(90.0, abs=1e-9)
+
+    def test_geographic_due_west_across_the_antimeridian(self):
+        # 359.9998 degrees east is 0.0002 degrees west.
+        city = make_city(
+            {"A": (-179.9999, 0), "B": (179.9999, 0)},
+            [("A", "B"), ("B", "A")],
+            mode="geographic",
+        )
+        west, east = (link_bearing(link, city.graph) for link in city.graph.links)
+        assert (west, east) == (270.0, 90.0)

@@ -30,6 +30,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             ArchetypeSpec(kind="gridded", size=50, spacing=100.0, jitter=0.5)
 
+    @pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+    def test_non_finite_spacing(self, spacing):
+        with pytest.raises(ValidationError, match="spacing must be positive and finite"):
+            ArchetypeSpec(kind="gridded", size=50, spacing=spacing)
+
 
 class TestGridded:
     def test_jitter_free_grid_is_all_type1(self):

@@ -247,6 +247,20 @@ def test_betweenness_on_tied_paths(city, expected):
     assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
 
 
+def test_betweenness_near_tie_is_neither_tie_nor_improvement():
+    # From s, w is first reached over a at dw, then over b at c, where
+    # c = fl(dw - 1e-12 * dw): c < dw but outside the tie tolerance by
+    # rounding, and not below dw - 1e-12 * dw either, so a stays w's sole
+    # predecessor.
+    dw, c = 84743.52625998633, 84743.52625990158
+    nodes = {"s": (0, 0), "a": (1, 1), "b": (1, -1), "w": (2, 0)}
+    lengths = {("s", "a"): 1.0, ("a", "w"): dw - 1.0, ("s", "b"): 2.0, ("b", "w"): c - 2.0}
+    city = make_city(nodes, [(u, v, (), length) for (u, v), length in lengths.items()])
+    result = betweenness(city)
+    assert result == {"s": 0.0, "a": 0.25, "b": 0.0, "w": 0.0}
+    assert result == pytest.approx(brandes_oracle(city), abs=1e-12)
+
+
 class TestGeometricSummaries:
     def test_grid_3x3(self):
         city = make_grid_city(3, 3, 100.0, area_km2=0.04)
