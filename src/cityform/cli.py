@@ -133,21 +133,47 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows, written: list[Path]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    written.append(path)
+def _write_files(out_dir: str, files) -> list[str]:
+    """Write the ``(name, content)`` pairs drawn from ``files`` into ``out_dir``.
 
-
-def _write_json(path: Path, payload, written: list[Path]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-    written.append(path)
+    A CSV's content is ``(header, rows)``, any other file's a JSON payload.
+    The directory is made first and each pair drawn only when it is due, so
+    a lazy ``files`` fails on a bad directory before computing anything. On
+    any failure every file opened, even part-written, and every directory
+    made is removed; an ``OSError`` from either becomes a ValidationError.
+    """
+    out = Path(out_dir)
+    # Deepest first, so each directory is empty by the time it is reached.
+    missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
+    written: list[Path] = []
+    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValidationError(f"cannot make output directory {out}: {reason}") from None
+        for name, content in files:
+            path = out / name
+            try:
+                with open(path, "w", newline="") as handle:
+                    written.append(path)
+                    if name.endswith(".csv"):
+                        csv.writer(handle, lineterminator="\n").writerows([content[0], *content[1]])
+                    else:
+                        json.dump(content, handle, indent=2, sort_keys=True, allow_nan=False)
+                        handle.write("\n")
+            except OSError as exc:
+                raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in missing_dirs:
+            try:
+                directory.rmdir()
+            except OSError:  # never made, or holds something else
+                pass
+        raise
+    return [path.name for path in written]
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -314,7 +340,7 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     """Write the named artifacts, computing only the stages they need.
 
     On any failure every file this call wrote, and every directory it
-    created that is then empty, is removed before the error propagates.
+    made, is removed before the error propagates (see ``_write_files``).
     """
     config.validate()
     unknown = [name for name in artifacts if name not in _CONTENTS]
@@ -337,27 +363,8 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
         fewest, stage = _CITY_MINIMA.get(name, (0, ""))
         if n_cities < fewest:
             raise ValidationError(f"{stage} needs at least {fewest} cities")
-    out = Path(config.out_dir)
-    # Deepest first, so each directory is empty by the time it is reached.
-    missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
-    written: list[Path] = []
-    try:
-        for name in artifacts:
-            content = _CONTENTS[name](run)
-            if name.endswith(".csv"):
-                _write_csv(out / name, *content, written)
-            else:
-                _write_json(out / name, content, written)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in missing_dirs:
-            try:
-                directory.rmdir()
-            except OSError:  # never created, or holds something else
-                pass
-        raise
-    return {"cities": len(run.cities), "artifacts": [p.name for p in written]}
+    written = _write_files(config.out_dir, ((name, _CONTENTS[name](run)) for name in artifacts))
+    return {"cities": n_cities, "artifacts": written}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +387,6 @@ def write_corpus(
         raise ValidationError(f"size must be >= 1, got {size}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValidationError(f"spacing must be positive and finite, got {spacing}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     specs = [
         (name, spec)
         for name, spec in corpus_specs(count, seed, base_size=size, base_spacing=spacing)
@@ -389,48 +394,42 @@ def write_corpus(
     ]
 
     offset_step = spacing * (2.6 * math.sqrt(1.25 * size) + 4.0)
-    node_rows = []
-    link_rows = []
-    features = []
-    names = []
-    for idx, (name, spec) in enumerate(specs):
-        names.append(name)
-        city = generate(spec, name=name)
-        boundary = city_boundary(city.graph, spec.spacing, name)
-        ox = (idx % 6) * offset_step
-        oy = (idx // 6) * offset_step
-        for node in city.graph.nodes.values():
-            node_rows.append([f"{name}:{node.id}", node.location.x + ox, node.location.y + oy])
-        for link in city.graph.links:
-            shape = ";".join(f"{p.x + ox} {p.y + oy}" for p in link.shape_points)
-            link_rows.append(
-                [
-                    f"{name}:{link.id}",
-                    f"{name}:{link.from_node}",
-                    f"{name}:{link.to_node}",
-                    link.length_m,
-                    shape,
-                ]
-            )
-        ring = [[p.x + ox, p.y + oy] for p in boundary.polygons[0][0]]
-        ring.append(ring[0])
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"name": name, "archetype": spec.kind},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        )
 
-    written: list[Path] = []
-    _write_csv(out / "nodes.csv", NODES_HEADER, node_rows, written)
-    _write_csv(out / "links.csv", LINKS_HEADER, link_rows, written)
-    _write_json(
-        out / "boundaries.geojson",
-        {"type": "FeatureCollection", "features": features},
-        written,
-    )
-    return names
+    def files():  # drawn once the output directory exists
+        node_rows, link_rows, features = [], [], []
+        for idx, (name, spec) in enumerate(specs):
+            city = generate(spec, name=name)
+            boundary = city_boundary(city.graph, spec.spacing, name)
+            ox = (idx % 6) * offset_step
+            oy = (idx // 6) * offset_step
+            for node in city.graph.nodes.values():
+                node_rows.append([f"{name}:{node.id}", node.location.x + ox, node.location.y + oy])
+            for link in city.graph.links:
+                shape = ";".join(f"{p.x + ox} {p.y + oy}" for p in link.shape_points)
+                link_rows.append(
+                    [
+                        f"{name}:{link.id}",
+                        f"{name}:{link.from_node}",
+                        f"{name}:{link.to_node}",
+                        link.length_m,
+                        shape,
+                    ]
+                )
+            ring = [[p.x + ox, p.y + oy] for p in boundary.polygons[0][0]]
+            ring.append(ring[0])
+            features.append(
+                {
+                    "type": "Feature",
+                    "properties": {"name": name, "archetype": spec.kind},
+                    "geometry": {"type": "Polygon", "coordinates": [ring]},
+                }
+            )
+        yield "nodes.csv", (NODES_HEADER, node_rows)
+        yield "links.csv", (LINKS_HEADER, link_rows)
+        yield "boundaries.geojson", {"type": "FeatureCollection", "features": features}
+
+    _write_files(out_dir, files())
+    return [name for name, _ in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,9 @@ class RoadLink:
 class RoadGraph:
     """Validated directed primal graph. Treat as immutable after construction.
 
-    Duplicate parallel links are allowed; self-loops are not. Every link
-    endpoint must resolve to a node and every length must be positive.
+    Parallel links are allowed, but node ids and link ids are unique and
+    self-loops are refused. Every link endpoint must resolve to a node and
+    every length must be positive.
     """
 
     def __init__(self, nodes: Iterable[RoadNode], links: Iterable[RoadLink], mode: str):
@@ -104,7 +105,11 @@ class RoadGraph:
         self.links: tuple[RoadLink, ...] = tuple(links)
         self._out: dict[str, list[RoadLink]] = {nid: [] for nid in self.nodes}
         self._in_degree: dict[str, int] = {nid: 0 for nid in self.nodes}
+        link_ids: set[str] = set()
         for link in self.links:
+            if link.id in link_ids:
+                raise DataError(f"duplicate link id: {link.id!r}")
+            link_ids.add(link.id)
             for endpoint in (link.from_node, link.to_node):
                 if endpoint not in self.nodes:
                     raise DataError(
@@ -314,6 +319,17 @@ def clip_to_city(graph: RoadGraph, boundary: CityBoundary) -> CityNetwork:
     """
     if graph.node_count == 0:
         raise EmptyCityError("cannot clip an empty regional graph")
+    # Rings are neither split nor wrapped at +-180 degrees, so an edge that
+    # crosses there would cover the far side of the globe instead.
+    if graph.mode == "geographic" and any(
+        abs(ring[i].x - ring[i - 1].x) > 180.0
+        for ring in boundary.rings()
+        for i in range(len(ring))
+    ):
+        raise DataError(
+            f"boundary {boundary.city_name!r} has an edge spanning more than 180 degrees of "
+            "longitude; split the polygon at the antimeridian (RFC 7946, section 3.1.9)"
+        )
     area = boundary_area_km2(boundary, graph.mode)
     if not math.isfinite(area):
         raise DataError(f"boundary {boundary.city_name!r} has a non-finite area ({area} km^2)")
@@ -429,7 +445,7 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     """Load city boundaries from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon and carry a ``name``
-    property that no other feature carries.
+    property, a non-empty string or a number, that no other feature carries.
     """
     with open(path, encoding="utf-8-sig") as handle:
         try:
@@ -445,8 +461,14 @@ def load_boundaries(path: str) -> list[CityBoundary]:
             raise DataError(f"{path}: feature {idx} is not a JSON object")
         props = feature.get("properties")
         name = props.get("name") if isinstance(props, dict) else None
-        if not name:
+        if name is None or name == "":
             raise DataError(f"{path}: feature {idx} has no 'name' property")
+        # A number names a city too (0 as "0"); a bool is not a number here.
+        if isinstance(name, bool) or not isinstance(name, (str, numbers.Real)):
+            raise DataError(
+                f"{path}: feature {idx} has a 'name' of type {type(name).__name__}, "
+                "not a string or a number"
+            )
         name = str(name)
         if any(b.city_name == name for b in boundaries):
             raise DataError(f"{path}: feature {idx} repeats the boundary name {name!r}")

@@ -86,6 +86,25 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_out_that_is_a_file_is_validation(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated a city for an output it cannot write")
+
+        monkeypatch.setattr("cityform.cli.generate", refuse)
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        assert main(["synth", "--count", "1", "--size", "36", "--out", str(blocker)]) == 2
+        assert f"cannot make output directory {blocker}: File exists" in capsys.readouterr().err
+        assert blocker.read_text() == "keep\n"
+
+    def test_failure_removes_what_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        (out / "boundaries.geojson").mkdir(parents=True)
+        assert main(["synth", "--count", "1", "--size", "36", "--out", str(out)]) == 2
+        assert f"cannot write {out / 'boundaries.geojson'}" in capsys.readouterr().err
+        # nodes.csv and links.csv were written first, then removed.
+        assert [p.name for p in out.iterdir()] == ["boundaries.geojson"]
+
     def test_cli_entry(self, tmp_path):
         code = main([
             "synth", "--kind", "gridded", "--count", "1", "--seed", "3",
@@ -292,6 +311,23 @@ class TestGeographicMode:
         mean_len = float(rows[1][METRICS_HEADER.index("mean_link_length_m")])
         assert 50.0 < mean_len < 130.0
 
+    def test_boundary_across_the_antimeridian_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "nodes.csv").write_text("node_id,x,y\nA,179.5,0\nB,179.6,0\nC,179.5,0.1\n")
+        (tmp_path / "links.csv").write_text(
+            "link_id,from,to,length_m,shape_points\nL1,A,B,,\nL2,B,A,,\nL3,A,C,,\nL4,C,A,,\n"
+        )
+        argv = io_args(tmp_path, tmp_path / "out")
+        argv[argv.index("--boundaries") + 1] = str(tmp_path / "b.geojson")
+        argv[argv.index("--mode") + 1] = "geo"
+        # A box that reaches the antimeridian is clipped; one that crosses it is refused.
+        for west, east, code in [(178.0, 180.0, 0), (179.0, -179.0, 3)]:
+            ring = [[west, -1.0], [east, -1.0], [east, 1.0], [west, 1.0], [west, -1.0]]
+            doc = {"type": "FeatureCollection", "features": [feature("dateline", [ring])]}
+            (tmp_path / "b.geojson").write_text(json.dumps(doc))
+            assert main(["ingest"] + argv) == code
+        assert "split the polygon at the antimeridian" in capsys.readouterr().err
+        assert read_csv(tmp_path / "out" / "cities_summary.csv")[1][:3] == ["dateline", "3", "4"]
+
 
 class TestExitCodes:
     def test_tau_out_of_range_is_validation(self, corpus, tmp_path):
@@ -487,6 +523,45 @@ class TestRunner:
             assert left == (tmp_path / "2" / artifact).read_bytes(), artifact
 
 
+class TestOutputPath:
+    """All subcommands write through one path: a bad ``--out`` exits 2."""
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_out_at_or_under_a_file_fails_before_betweenness(
+        self, corpus, tmp_path, monkeypatch, capsys, under
+    ):
+        def refuse(city):
+            raise AssertionError("computed betweenness for an output it cannot write")
+
+        monkeypatch.setattr("cityform.topology.betweenness", refuse)
+        root, _ = corpus
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        assert main(["metrics"] + io_args(root, blocker / under)) == 2
+        assert f"cannot make output directory {blocker / under}" in capsys.readouterr().err
+        assert blocker.read_text() == "keep\n"
+
+    def test_blocked_artifact_removes_what_was_written(self, corpus, tmp_path, capsys):
+        root, _ = corpus
+        out = tmp_path / "out"
+        (out / "elbow.csv").mkdir(parents=True)
+        assert main(["pipeline"] + io_args(root, out)) == 2
+        assert f"cannot write {out / 'elbow.csv'}: Is a directory" in capsys.readouterr().err
+        # The seven artifacts written before elbow.csv are gone; both directories stay.
+        assert [p.name for p in out.iterdir()] == ["elbow.csv"]
+        assert list((out / "elbow.csv").iterdir()) == []
+
+    def test_part_written_file_is_removed(self, corpus, tmp_path, monkeypatch, capsys):
+        # json.dump has written the first key by the time it refuses the NaN.
+        monkeypatch.setitem(
+            cityform.cli._CONTENTS, "factors.json", lambda run: {"a": 1, "b": float("nan")}
+        )
+        root, _ = corpus
+        assert main(["cluster"] + io_args(root, tmp_path / "out")) == 4
+        assert "Out of range float values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def feature(name, coordinates):
     return {
         "type": "Feature",
@@ -516,6 +591,14 @@ class TestBoundaryFaults:
         assert repr(names[0]) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_number_names_a_city(self, corpus, tmp_path):
+        root, _ = corpus
+        doc = json.loads((root / "boundaries.geojson").read_text())
+        doc["features"][0]["properties"]["name"] = 0
+        copy = corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
+        assert main(["ingest"] + io_args(copy, tmp_path / "out")) == 0
+        assert read_csv(tmp_path / "out" / "cities_summary.csv")[1][0] == "0"
+
     @pytest.mark.parametrize(
         "doc, names",
         [
@@ -532,8 +615,14 @@ class TestBoundaryFaults:
                  "features": [feature("b", [[[0.0], [10.0, 0.0], [10.0, 10.0]]])]},
                 "'b'",
             ),
+            *(
+                ({"type": "FeatureCollection", "features": [feature(name, SQUARE)]},
+                 f"feature 0 has a 'name' of type {type(name).__name__}")
+                for name in (False, True, {"a": 1}, [1])
+            ),
         ],
-        ids=["top-level-list", "non-object-feature", "missing-coordinates", "one-coordinate-vertex"],
+        ids=["top-level-list", "non-object-feature", "missing-coordinates", "one-coordinate-vertex",
+             "false-name", "true-name", "object-name", "list-name"],
     )
     def test_malformed_geojson_is_data_error(self, corpus, tmp_path, capsys, doc, names):
         assert self.run_with_boundaries(corpus, tmp_path, doc) == 3
@@ -617,6 +706,10 @@ class TestInputFaults:
                 lambda name, data: data.split(b"\n", 1)[0] + b"\n" if name.endswith(".csv") else data,
                 "cannot clip an empty regional graph",
             ),
+            (
+                lambda name, data: data + data.split(b"\n")[1] + b"\n" if name == "links.csv" else data,
+                "duplicate link id: 'gridded_00:",
+            ),
         ],
         ids=[
             "nan-vertex", "1e400-vertex", "400-digit-vertex", "bool-vertex", "string-vertex",
@@ -624,7 +717,7 @@ class TestInputFaults:
             "0xff-nodes", "0xff-links",
             "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
             "zero-area-boundary", "nan-node-x", "three-number-shape-point", "point-geometry",
-            "header-only-csvs",
+            "header-only-csvs", "repeated-link-row",
         ],
     )
     def test_bad_input_is_data_error(self, corpus, tmp_path, capsys, edit, named):

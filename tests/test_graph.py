@@ -141,6 +141,14 @@ class TestRoadGraph:
         with pytest.raises(error, match=match):
             RoadGraph(nodes, [RoadLink("L1", "A", to_node, (), length)], mode)
 
+    def test_duplicate_link_id_rejected(self):
+        nodes = [RoadNode("A", GeoPoint(0, 0)), RoadNode("B", GeoPoint(1, 0))]
+        # Parallel links are legal; two links under one id are not.
+        links = [RoadLink("L1", "A", "B", (), 1.0), RoadLink("L2", "A", "B", (), 1.0)]
+        assert RoadGraph(nodes, links, "planar").link_count == 2
+        with pytest.raises(DataError, match="duplicate link id: 'L1'"):
+            RoadGraph(nodes, links + [RoadLink("L1", "B", "A", (), 1.0)], "planar")
+
 
 class TestPointInPolygon:
     def test_inside(self):
