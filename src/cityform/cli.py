@@ -105,13 +105,6 @@ class RunConfig:
             self.k_range = tuple(self.k_range)
 
     def validate(self) -> None:
-        for label, path in (
-            ("nodes", self.nodes_path),
-            ("links", self.links_path),
-            ("boundaries", self.boundaries_path),
-        ):
-            if not Path(path).is_file():
-                raise ValidationError(f"{label} file does not exist: {path}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValidationError(f"unknown feature mode {self.feature_mode!r}")
         features = kept_features(FEATURE_MODES[self.feature_mode], self.drop)
@@ -126,6 +119,8 @@ class RunConfig:
             )
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +132,27 @@ def _write_files(out_dir: str, files) -> list[str]:
     """Write the ``(name, content)`` pairs drawn from ``files`` into ``out_dir``.
 
     A CSV's content is ``(header, rows)``, any other file's a JSON payload.
-    The directory is made first and each pair drawn only when it is due, so
-    a lazy ``files`` fails on a bad directory before computing anything. On
-    any failure every file opened, even part-written, and every directory
-    made is removed; an ``OSError`` from either becomes a ValidationError.
+    The directory is made, then every pair drawn, then each file written:
+    a bad directory fails before a lazy ``files`` computes anything, and a
+    failed computation writes nothing. A failed write removes every file
+    the pairs name, so ``out_dir`` never mixes two runs. Any failure
+    removes every directory made; an ``OSError`` becomes a ValidationError.
     """
     out = Path(out_dir)
     # Deepest first, so each directory is empty by the time it is reached.
     missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
-    written: list[Path] = []
+    pairs = []
     try:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             reason = exc.strerror or exc
             raise ValidationError(f"cannot make output directory {out}: {reason}") from None
-        for name, content in files:
-            path = out / name
+        pairs = [(out / name, content) for name, content in files]
+        for path, content in pairs:
             try:
                 with open(path, "w", newline="") as handle:
-                    written.append(path)
-                    if name.endswith(".csv"):
+                    if path.suffix == ".csv":
                         csv.writer(handle, lineterminator="\n").writerows([content[0], *content[1]])
                     else:
                         json.dump(content, handle, indent=2, sort_keys=True, allow_nan=False)
@@ -165,15 +160,16 @@ def _write_files(out_dir: str, files) -> list[str]:
             except OSError as exc:
                 raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for path, _ in pairs:
+            if not path.is_dir():  # a directory in a file's place stays
+                path.unlink(missing_ok=True)
         for directory in missing_dirs:
             try:
                 directory.rmdir()
             except OSError:  # never made, or holds something else
                 pass
         raise
-    return [path.name for path in written]
+    return [path.name for path, _ in pairs]
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -339,8 +335,9 @@ _CONTENTS = {
 def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> dict:
     """Write the named artifacts, computing only the stages they need.
 
-    On any failure every file this call wrote, and every directory it
-    made, is removed before the error propagates (see ``_write_files``).
+    All artifacts are computed before the first is written: a failure while
+    computing leaves ``out_dir`` as it was, and a failed write removes every
+    named artifact and every directory made (see ``_write_files``).
     """
     config.validate()
     unknown = [name for name in artifacts if name not in _CONTENTS]

@@ -89,7 +89,7 @@ class RoadGraph:
 
     Parallel links are allowed, but node ids and link ids are unique and
     self-loops are refused. Every link endpoint must resolve to a node and
-    every length must be positive.
+    every length must be positive. In geographic mode no node lies at a pole.
     """
 
     def __init__(self, nodes: Iterable[RoadNode], links: Iterable[RoadLink], mode: str):
@@ -101,6 +101,9 @@ class RoadGraph:
             if node.id in self.nodes:
                 raise DataError(f"duplicate node id: {node.id!r}")
             validate_point(node.location, mode)
+            # East offsets scale by cos(latitude), so a pole has no directions.
+            if mode == "geographic" and abs(node.location.y) == 90.0:
+                raise DataError(f"node {node.id!r} lies at a pole (latitude {node.location.y})")
             self.nodes[node.id] = node
         self.links: tuple[RoadLink, ...] = tuple(links)
         self._out: dict[str, list[RoadLink]] = {nid: [] for nid in self.nodes}
@@ -402,6 +405,8 @@ def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
                 if len(row) != len(header):
                     raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
                 yield where, row
+    except OSError as exc:  # missing, unreadable, a directory
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV ({exc})") from None
 
@@ -447,11 +452,13 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     Each feature must be a Polygon or MultiPolygon and carry a ``name``
     property, a non-empty string or a number, that no other feature carries.
     """
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
-        except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, deep nesting
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:  # missing, unreadable, a directory
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, deep nesting
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a GeoJSON FeatureCollection")

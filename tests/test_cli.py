@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,8 +247,8 @@ class TestPipeline:
     @staticmethod
     def fail_after_factors(monkeypatch, out):
         def fail(*args, **kwargs):
-            # Several artifacts exist by the time k-means runs.
-            assert (out / "factors.json").exists()
+            # Nothing is written until every artifact is computed.
+            assert not (out / "factors.json").exists()
             raise ValidationError("k-means failed")
 
         monkeypatch.setattr("cityform.cli.kmeans", fail)
@@ -328,6 +329,29 @@ class TestGeographicMode:
         assert "split the polygon at the antimeridian" in capsys.readouterr().err
         assert read_csv(tmp_path / "out" / "cities_summary.csv")[1][:3] == ["dateline", "3", "4"]
 
+    @pytest.mark.parametrize("lat", [90.0, -90.0], ids=["north", "south"])
+    def test_node_at_a_pole_is_data_error(self, tmp_path, capsys, lat):
+        # A four-way junction with 10 m arms, centred on the pole.
+        step = 10.0 / 111_320.0
+        edge = math.copysign(90.0 - step, lat)
+        (tmp_path / "nodes.csv").write_text(
+            f"node_id,x,y\nP,0,{lat}\nA,0,{edge}\nB,90,{edge}\nC,180,{edge}\nD,-90,{edge}\n"
+        )
+        (tmp_path / "links.csv").write_text(
+            "link_id,from,to,length_m,shape_points\n"
+            + "".join(f"P{n},P,{n},,\n{n}P,{n},P,,\n" for n in "ABCD")
+        )
+        rim = edge - lat / 90
+        ring = [[-180.0, rim], [0.0, rim], [180.0, rim], [180.0, lat], [0.0, lat], [-180.0, lat]]
+        doc = {"type": "FeatureCollection", "features": [feature("cap", [ring])]}
+        (tmp_path / "b.geojson").write_text(json.dumps(doc))
+        argv = io_args(tmp_path, tmp_path / "out")
+        argv[argv.index("--boundaries") + 1] = str(tmp_path / "b.geojson")
+        argv[argv.index("--mode") + 1] = "geo"
+        assert main(["patterns"] + argv) == 3
+        assert f"node 'P' lies at a pole (latitude {lat})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_tau_out_of_range_is_validation(self, corpus, tmp_path):
@@ -344,6 +368,19 @@ class TestExitCodes:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("blocked", ["links.csv", "boundaries.geojson"])
+    def test_unreadable_input_is_validation(self, corpus, tmp_path, monkeypatch, capsys, blocked):
+        def guarded_open(file, *args, **kwargs):
+            if Path(file).name == blocked:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr("cityform.graph.open", guarded_open, raising=False)
+        root, _ = corpus
+        assert main(["metrics"] + io_args(root, tmp_path / "out")) == 2
+        assert f"cannot read {root / blocked}: Permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_k_range_flag(self, corpus, tmp_path):
         root, _ = corpus
@@ -394,7 +431,7 @@ class TestRunner:
         root, _ = corpus
 
         def fail(*args, **kwargs):
-            assert (tmp_path / "out" / "factors.json").exists()
+            assert not (tmp_path / "out" / "factors.json").exists()
             raise ValidationError("k-means failed")
 
         monkeypatch.setattr("cityform.cli.kmeans", fail)
@@ -445,13 +482,14 @@ class TestRunner:
             (["pipeline", "--k", "1"], "correlation needs at least 3 cities", 1),
             (["pipeline", "--k", "2"], "correlation needs at least 3 cities", 2),
             (["cluster", "--k", "2"], "factor extraction needs at least 3 cities", 2),
+            (["cluster", "--seed", "-1"], "seed must be >= 0, got -1", None),
         ],
         ids=[
             "k-above-cities", "no-factors", "factors-above-kept", "drop-unknown-features",
             "drop-unknown-cluster", "drop-every-feature", "k-range-from-0", "reversed-k-range",
             "k-range-above-cities", "k-0", "restarts-0", "dominant-threshold-1",
             "features-on-1-city", "pipeline-on-1-city", "pipeline-on-2-cities",
-            "cluster-on-2-cities",
+            "cluster-on-2-cities", "seed-negative",
         ],
     )
     def test_bad_configuration_fails_before_betweenness(
@@ -548,6 +586,34 @@ class TestOutputPath:
         assert main(["pipeline"] + io_args(root, out)) == 2
         assert f"cannot write {out / 'elbow.csv'}: Is a directory" in capsys.readouterr().err
         # The seven artifacts written before elbow.csv are gone; both directories stay.
+        assert [p.name for p in out.iterdir()] == ["elbow.csv"]
+        assert list((out / "elbow.csv").iterdir()) == []
+
+    def test_failed_rerun_leaves_the_first_run_as_it_was(
+        self, corpus, tmp_path, monkeypatch, capsys
+    ):
+        root, _ = corpus
+        out = tmp_path / "out"
+        assert main(["pipeline"] + io_args(root, out)) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(first) == 10
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("k-means failed")
+
+        monkeypatch.setattr("cityform.cli.kmeans", fail)
+        assert main(["pipeline"] + io_args(root, out)) == 4
+        assert "internal error: k-means failed" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_blocked_rerun_leaves_no_file_of_either_run(self, corpus, tmp_path, capsys):
+        root, _ = corpus
+        out = tmp_path / "out"
+        assert main(["pipeline"] + io_args(root, out)) == 0
+        (out / "elbow.csv").unlink()
+        (out / "elbow.csv").mkdir()
+        assert main(["pipeline"] + io_args(root, out)) == 2
+        assert f"cannot write {out / 'elbow.csv'}: Is a directory" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["elbow.csv"]
         assert list((out / "elbow.csv").iterdir()) == []
 

@@ -149,6 +149,16 @@ class TestRoadGraph:
         with pytest.raises(DataError, match="duplicate link id: 'L1'"):
             RoadGraph(nodes, links + [RoadLink("L1", "B", "A", (), 1.0)], "planar")
 
+    def test_geographic_node_at_a_pole_rejected(self):
+        # A shape point may lie at a pole: no direction starts there.
+        nodes = [RoadNode("A", GeoPoint(0, 89.9)), RoadNode("B", GeoPoint(90, 89.9))]
+        links = [RoadLink("L1", "A", "B", (GeoPoint(0, 90),), 1.0)]
+        assert RoadGraph(nodes, links, "geographic").link_count == 1
+        pole = [RoadNode("P", GeoPoint(0.0, -90.0))]
+        assert RoadGraph(pole, [], "planar").node_count == 1
+        with pytest.raises(DataError, match=r"node 'P' lies at a pole \(latitude -90\.0\)"):
+            RoadGraph(pole, [], "geographic")
+
 
 class TestPointInPolygon:
     def test_inside(self):
