@@ -139,11 +139,12 @@ def _write_files(out_dir: str, files) -> list[str]:
     removes every directory made; an ``OSError`` becomes a ValidationError.
     """
     out = Path(out_dir)
-    # Deepest first, so each directory is empty by the time it is reached.
-    missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
-    pairs = []
+    missing_dirs, pairs = [], []
     try:
         try:
+            # Deepest first, so each directory is empty by the time it is
+            # reached. A name over the length limit fails the probe itself.
+            missing_dirs = [d for d in (out, *out.parents) if not d.exists()]
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             reason = exc.strerror or exc
@@ -254,7 +255,9 @@ def _elbow_rows(run: _Run) -> list[list]:
     n_cities = len(run.cities)
     lo, hi = run.config.k_range if run.config.k_range else (1, min(10, n_cities))
     ks = range(lo, min(hi, n_cities) + 1)
-    curve = elbow(run.factors.scores, ks, seed=run.config.seed, restarts=run.config.restarts)
+    # The run's own fit at k is the one the restarts would make again.
+    fit = run.clustering if run.config.k in ks else None
+    curve = elbow(run.factors.scores, ks, seed=run.config.seed, restarts=run.config.restarts, fit=fit)
     return [[k, inertia] for k, inertia in curve]
 
 

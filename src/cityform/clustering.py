@@ -1,15 +1,22 @@
 """K-means over factor scores, with Silhouette and Davies-Bouldin evaluation.
 
-Fitting uses k-means++ seeding, Lloyd iterations to convergence, and a
-configurable number of restarts; the restart with the lowest inertia wins.
-Empty clusters are repaired during fitting by donating the point farthest
-from its current centroid, so every returned cluster is non-empty. All
+Fitting uses greedy k-means++ seeding, Lloyd iterations to convergence,
+and a configurable number of restarts; the restart with the lowest inertia
+wins. Empty clusters are repaired during fitting by donating the point
+farthest from its current centroid, so every returned cluster is
+non-empty. Clusters are numbered in order of their first point. All
 distances are Euclidean, both for fitting and for the evaluation indices.
-Results are deterministic for a fixed (seed, restarts, input order).
+
+Seeding draws only ``random.Random(seed).random()``, a sequence Python
+keeps the same across releases, so results are the same for a fixed
+(seed, restarts, input order) on every supported Python and numpy.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +47,31 @@ def _as_points(scores) -> np.ndarray:
     return points
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
+    """Greedy k-means++ (Arthur & Vassilvitskii 2007, section 6).
+
+    Each centre after the first draws 2 + floor(ln k) candidates with
+    probability proportional to the squared distance to the nearest centre
+    so far, and keeps the one that leaves the lowest total of those distances.
+    """
     n = points.shape[0]
+    trials = 2 + int(math.log(k))
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[int(rng.integers(n))]
+    centroids[0] = points[int(rng.random() * n)]
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        cumulative = np.cumsum(d2)
+        total = float(cumulative[-1])
+        if total > 0.0:
+            draws = [rng.random() * total for _ in range(trials)]
+            # A draw that rounds up to the total would fall past the end.
+            candidates = np.searchsorted(cumulative, draws, side="right").clip(max=n - 1)
+        else:  # every point sits on a centre
+            candidates = np.array([int(rng.random() * n) for _ in range(trials)])
+        reach = np.minimum(d2, ((points[None, :, :] - points[candidates, None, :]) ** 2).sum(axis=2))
+        best = int(reach.sum(axis=1).argmin())
+        centroids[j] = points[candidates[best]]
+        d2 = reach[best]
     return centroids
 
 
@@ -85,20 +104,27 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
 
 
 def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
-    """The lowest-inertia Lloyd fit over k-means++ restarts drawn from ``seed``."""
+    """The lowest-inertia Lloyd fit over k-means++ restarts drawn from ``seed``,
+    with clusters numbered in order of their first point."""
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(seed)
+    # random.Random seeds with |seed|, so -s would repeat the fits of s.
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(operator.index(seed))  # a numpy integer too
     best = None
     for _ in range(restarts):
         fit = _lloyd(points, _kmeans_pp_init(points, k, rng))
         if best is None or fit[2] < best[2]:
             best = fit
-    return best
+    labels, centroids, inertia, history = best
+    _, first = np.unique(labels, return_index=True)
+    order = np.argsort(first)  # old cluster ids by first point
+    return np.argsort(order)[labels], centroids[order], inertia, history
 
 
 def kmeans(scores, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
-    """Best-of-restarts k-means; deterministic for a fixed seed."""
+    """Best-of-restarts k-means; deterministic for a fixed seed (>= 0)."""
     points = _as_points(scores)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -177,12 +203,16 @@ def davies_bouldin(scores, labels) -> float:
     return total / k
 
 
-def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int, float], ...]:
+def elbow(
+    scores, k_range, seed: int = 0, restarts: int = 10, fit: ClusteringResult | None = None
+) -> tuple[tuple[int, float], ...]:
     """``(k, best inertia)`` for each k over a range of cluster counts.
 
     Besides the usual restarts, each k > min(k_range) also tries a warm
     start built from the previous k's best centroids plus the point
     farthest from its centroid, which keeps the curve non-increasing.
+    ``fit``, a ``kmeans`` result on the same scores with the same seed and
+    restarts, stands in for the restarts at its own k.
     """
     points = _as_points(scores)
     ks = sorted(set(int(k) for k in k_range))
@@ -193,7 +223,10 @@ def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int
     entries = []
     prev: tuple[np.ndarray, np.ndarray] | None = None
     for k in ks:
-        labels, centroids, inertia, _ = _best_fit(points, k, seed, restarts)
+        if fit is not None and len(fit.centroids) == k:
+            labels, centroids, inertia = fit.labels, fit.centroids, fit.inertia
+        else:
+            labels, centroids, inertia, _ = _best_fit(points, k, seed, restarts)
         if prev is not None:
             prev_labels, prev_centroids = prev
             warm = prev_centroids

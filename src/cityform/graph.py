@@ -69,13 +69,14 @@ def polyline_length_m(points: Iterable[GeoPoint], mode: str) -> float:
     return sum(point_distance_m(pts[i], pts[i + 1], mode) for i in range(len(pts) - 1))
 
 
-@dataclass(frozen=True)
+# Slotted: a graph holds one of each per node and per link.
+@dataclass(frozen=True, slots=True)
 class RoadNode:
     id: str
     location: GeoPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadLink:
     id: str
     from_node: str
@@ -425,23 +426,23 @@ def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
         point = GeoPoint(_parse_float(row[1], "x", where), _parse_float(row[2], "y", where))
         nodes.append(RoadNode(id=row[0].strip(), location=point))
 
-    node_locations = {node.id: node.location for node in nodes}
+    by_id = {node.id: node for node in nodes}
     links: list[RoadLink] = []
     for where, row in _csv_rows(links_file, LINKS_HEADER):
         link_id, from_id, to_id = row[0].strip(), row[1].strip(), row[2].strip()
         for endpoint in (from_id, to_id):
-            if endpoint not in node_locations:
+            if endpoint not in by_id:
                 raise DataError(f"{where}: link {link_id!r} references missing node {endpoint!r}")
+        source, target = by_id[from_id], by_id[to_id]
         shape = _parse_shape_points(row[4], where)
         if row[3].strip():
             length = _parse_float(row[3], "length_m", where)
             if length <= 0:
                 raise DataError(f"{where}: length_m must be positive, got {length}")
         else:
-            length = polyline_length_m(
-                (node_locations[from_id], *shape, node_locations[to_id]), mode
-            )
-        links.append(RoadLink(link_id, from_id, to_id, shape, length))
+            length = polyline_length_m((source.location, *shape, target.location), mode)
+        # The node's own id string, not a copy per link.
+        links.append(RoadLink(link_id, source.id, target.id, shape, length))
 
     return RoadGraph(nodes, links, mode)
 

@@ -165,6 +165,36 @@ class TestStageCommands:
         elbow_rows = read_csv(tmp_path / "elbow.csv")
         assert elbow_rows[0] == ["k", "inertia"]
 
+    def test_clusters_csv_does_not_depend_on_the_seed(self, corpus, tmp_path):
+        root, _ = corpus
+        for seed in ("0", "1"):
+            assert main(["cluster", "--seed", seed] + io_args(root, tmp_path / seed)) == 0
+
+        def partition(out):
+            groups = {}
+            for city, label in read_csv(out / "clusters.csv")[1:]:
+                groups.setdefault(label, set()).add(city)
+            return sorted(map(sorted, groups.values()))
+
+        # Both seeds find one partition, so they number it alike.
+        assert partition(tmp_path / "0") == partition(tmp_path / "1")
+        assert (tmp_path / "0" / "clusters.csv").read_bytes() == (
+            tmp_path / "1" / "clusters.csv"
+        ).read_bytes()
+
+    def test_elbow_reuses_the_run_fit_at_k(self, corpus, tmp_path, monkeypatch):
+        fitted = []
+        best_fit = cityform.clustering._best_fit
+
+        def record(points, k, *rest):
+            fitted.append(k)
+            return best_fit(points, k, *rest)
+
+        monkeypatch.setattr("cityform.clustering._best_fit", record)
+        root, _ = corpus
+        assert main(["cluster", "--k", "3", "--k-range", "2..4"] + io_args(root, tmp_path)) == 0
+        assert fitted == [3, 2, 4]
+
     def test_ingest_command(self, corpus, tmp_path):
         root, names = corpus
         assert main(["ingest"] + io_args(root, tmp_path)) == 0
@@ -560,9 +590,45 @@ class TestRunner:
             left = (tmp_path / "1" / artifact).read_bytes()
             assert left == (tmp_path / "2" / artifact).read_bytes(), artifact
 
+    def test_pipeline_leaves_numpy_random_unloaded(self, corpus, tmp_path):
+        # k-means seeds from the standard library's generator.
+        root, _ = corpus
+        src = str(Path(cityform.__file__).resolve().parents[1])
+        script = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "from cityform.cli import main; code = main(sys.argv[1:]); "
+            "print(code, before, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "pipeline"] + io_args(root, tmp_path),
+            env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+        )
+        code, before, after = proc.stdout.split()[-3:]
+        if before == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert (code, after) == ("0", "False")
+
 
 class TestOutputPath:
     """All subcommands write through one path: a bad ``--out`` exits 2."""
+
+    @pytest.mark.parametrize("command", ["synth", "metrics"])
+    def test_name_over_the_length_limit_fails_before_betweenness(
+        self, corpus, tmp_path, monkeypatch, capsys, command
+    ):
+        def refuse(city):
+            raise AssertionError("computed betweenness for an output it cannot write")
+
+        monkeypatch.setattr("cityform.topology.betweenness", refuse)
+        root, _ = corpus
+        out = tmp_path / ("x" * 300) / "o"
+        if command == "synth":
+            argv = ["synth", "--count", "1", "--size", "36", "--out", str(out)]
+        else:
+            argv = ["metrics"] + io_args(root, out)
+        assert main(argv) == 2
+        assert f"cannot make output directory {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
     def test_out_at_or_under_a_file_fails_before_betweenness(

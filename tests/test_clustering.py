@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cityform import clustering
 from cityform.clustering import davies_bouldin, elbow, kmeans, silhouette
 from cityform.errors import ValidationError
 
@@ -13,6 +14,10 @@ from helpers import adjusted_rand_index, davies_bouldin_oracle, silhouette_oracl
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 NATURAL = np.array([0, 0, 1, 1])
+# Three tight triples plus three stray points: k = 4 has several local optima.
+TWELVE_POINTS = np.array(
+    [[0.0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6], [10, 0], [11, 0], [10, 1], [3, 8], [8, 8], [2, 2]]
+)
 
 
 def best_two_partition_inertia(points):
@@ -89,6 +94,49 @@ class TestKmeans:
             kmeans(FOUR_POINTS, 0, seed=0, restarts=1)
         with pytest.raises(ValidationError):
             kmeans(FOUR_POINTS, 2, seed=0, restarts=0)
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with |seed|: -1 would silently repeat seed 1.
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            kmeans(FOUR_POINTS, 2, seed=-1, restarts=1)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            elbow(FOUR_POINTS, [1, 2], seed=-1, restarts=1)
+
+    def test_numpy_integer_seed(self):
+        a = kmeans(TWELVE_POINTS, 4, seed=np.int64(2), restarts=1)
+        b = kmeans(TWELVE_POINTS, 4, seed=2, restarts=1)
+        assert np.array_equal(a.labels, b.labels) and a.inertia == b.inertia
+
+    @pytest.mark.parametrize(
+        "seed, labels, inertia",
+        [
+            (0, [0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 3, 0], 17.583333333333336),
+            (2, [0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 1, 3], 25.066666666666666),
+            (4, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 1, 0], 18.833333333333332),
+        ],
+    )
+    def test_seeding_stream_is_pinned(self, seed, labels, inertia):
+        # One restart, so each seed's own k-means++ draws decide the local
+        # optimum: these values pin the seeding stream and the greedy choice.
+        result = kmeans(TWELVE_POINTS, 4, seed=seed, restarts=1)
+        assert result.labels.tolist() == labels
+        assert result.inertia == pytest.approx(inertia, rel=1e-12)
+
+    def test_clusters_numbered_by_first_point(self):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(40, 2))
+        for seed in range(5):
+            labels = kmeans(points, 5, seed=seed, restarts=2).labels.tolist()
+            firsts = [labels.index(cid) for cid in range(5)]
+            assert firsts == sorted(firsts)
+
+    def test_same_partition_gives_same_labels_and_centroids(self):
+        # Every seed finds the two tight pairs; the numbering no longer
+        # depends on which pair the seeding reached first.
+        fits = [kmeans(FOUR_POINTS, 2, seed=seed, restarts=1) for seed in range(8)]
+        for fit in fits:
+            assert fit.labels.tolist() == [0, 0, 1, 1]
+            assert fit.centroids.ravel().tolist() == [0.5, 10.5]
 
     def test_blob_recovery(self):
         recovered = 0
@@ -213,6 +261,18 @@ class TestElbow:
         values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
+
+    def test_fit_at_k_stands_in_for_its_restarts(self, monkeypatch):
+        points = self.blobs()
+        plain = elbow(points, range(1, 7), seed=4, restarts=3)
+        fit = kmeans(points, 3, seed=4, restarts=3)
+        fitted = []
+        best_fit = clustering._best_fit
+        monkeypatch.setattr(
+            clustering, "_best_fit", lambda points, k, *rest: fitted.append(k) or best_fit(points, k, *rest)
+        )
+        assert elbow(points, range(1, 7), seed=4, restarts=3, fit=fit) == plain
+        assert fitted == [1, 2, 4, 5, 6]
 
     def test_bad_range(self):
         with pytest.raises(ValidationError):

@@ -90,6 +90,18 @@ class TestLoadGraph:
         expected = math.hypot(5, 5) + 5 + 5
         assert link.length_m == pytest.approx(expected, rel=1e-12)
 
+    def test_links_share_their_nodes_id_strings(self, tmp_path):
+        nodes, links = write_graph_files(
+            tmp_path, ["A,0,0", "B,10,0"], ["L1,A,B,10,", "L2, B ,A,10,"]
+        )
+        graph = load_graph(nodes, links, "planar")
+        for link in graph.links:
+            assert link.from_node is graph.nodes[link.from_node].id
+            assert link.to_node is graph.nodes[link.to_node].id
+        # Slotted records carry no per-instance dict.
+        assert not hasattr(graph.links[0], "__dict__")
+        assert not hasattr(graph.nodes["A"], "__dict__")
+
     def test_explicit_length_kept(self, tmp_path):
         nodes, links = write_graph_files(tmp_path, ["A,0,0", "B,10,0"], ["L1,A,B,42.5,"])
         assert load_graph(nodes, links, "planar").links[0].length_m == 42.5
