@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .clustering import elbow, kmeans
+from .clustering import check_k, check_seeding, elbow, kmeans
 from .errors import DataError, ValidationError
 from .features import (
     BEARING_BINS,
@@ -32,15 +32,18 @@ from .features import (
     FEATURE_MODES,
     assemble_features,
     bearing_histogram,
+    check_correlation_cities,
+    check_dominant_threshold,
     drop_features,
+    feature_columns,
     kept_features,
     pearson_report,
     zscore,
 )
 from .geometry import DEFAULT_TAU_DEG, PATTERN_COLUMNS, check_tau, node_patterns, pattern_counts
 from .graph import LINKS_HEADER, NODES_HEADER, CityNetwork, clip_to_city, load_boundaries, load_graph
-from .reduction import extract_factors
-from .synth import ARCHETYPES, city_boundary, corpus_specs, generate
+from .reduction import check_factor_cities, check_factor_count, extract_factors
+from .synth import ARCHETYPES, check_spacing, city_boundary, corpus_specs, generate
 from .topology import METRIC_COLUMNS, topo_metrics
 
 _MODE_NAMES = {"geo": "geographic", "planar": "planar"}
@@ -70,14 +73,11 @@ COMMAND_ARTIFACTS = {
     "pipeline": PIPELINE_ARTIFACTS + ("run_manifest.json",),
 }
 
-# The stage behind each artifact that refuses too few cities
-# (``pearson_report``, ``extract_factors``): (fewest cities, stage). The
-# z-score these run on needs only 2, so it never refuses first.
+# The city-count check of each artifact's stage: correlation, or factor extraction
+# for the cluster artifacts. Their z-score needs only 2 cities, so never refuses first.
 _CITY_MINIMA = {
-    "correlations.csv": (3, "correlation"),
-    **dict.fromkeys(
-        ("factors.json", "clusters.csv", "evaluation.json", "elbow.csv"), (3, "factor extraction")
-    ),
+    "correlations.csv": check_correlation_cities,
+    **dict.fromkeys(COMMAND_ARTIFACTS["cluster"], check_factor_cities),
 }
 
 
@@ -105,22 +105,12 @@ class RunConfig:
             self.k_range = tuple(self.k_range)
 
     def validate(self) -> None:
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValidationError(f"unknown feature mode {self.feature_mode!r}")
-        features = kept_features(FEATURE_MODES[self.feature_mode], self.drop)
-        if self.factors_override is not None and not 1 <= self.factors_override <= len(features):
-            raise ValidationError(
-                f"factors must lie in 1..{len(features)}, got {self.factors_override}"
-            )
+        features = kept_features(feature_columns(self.feature_mode), self.drop)
+        if self.factors_override is not None:
+            check_factor_count(self.factors_override, len(features))
         check_tau(self.tau)
-        if not 0.0 < self.dominant_threshold < 1.0:
-            raise ValidationError(
-                f"dominant threshold must lie in (0, 1), got {self.dominant_threshold}"
-            )
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_dominant_threshold(self.dominant_threshold)
+        check_seeding(self.seed, self.restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +340,8 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     # The city count is known right after clipping: check what depends on
     # it before any betweenness is computed.
     n_cities = len(run.cities)
-    if {"clusters.csv", "evaluation.json"} & set(artifacts) and not 1 <= config.k <= n_cities:
-        raise ValidationError(f"k must lie in 1..{n_cities}, got {config.k}")
+    if {"clusters.csv", "evaluation.json"} & set(artifacts):
+        check_k(config.k, n_cities)
     if "elbow.csv" in artifacts and config.k_range:
         if not 1 <= config.k_range[0] <= min(config.k_range[1], n_cities):
             raise ValidationError(
@@ -360,9 +350,8 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     # Artifacts in writing order: the first to refuse is the one the run
     # would reach after the betweenness.
     for name in artifacts:
-        fewest, stage = _CITY_MINIMA.get(name, (0, ""))
-        if n_cities < fewest:
-            raise ValidationError(f"{stage} needs at least {fewest} cities")
+        if name in _CITY_MINIMA:
+            _CITY_MINIMA[name](n_cities)
     written = _write_files(config.out_dir, ((name, _CONTENTS[name](run)) for name in artifacts))
     return {"cities": n_cities, "artifacts": written}
 
@@ -385,8 +374,7 @@ def write_corpus(
         raise ValidationError(f"count must be >= 1, got {count}")
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValidationError(f"spacing must be positive and finite, got {spacing}")
+    check_spacing(spacing)
     specs = [
         (name, spec)
         for name, spec in corpus_specs(count, seed, base_size=size, base_spacing=spacing)

@@ -36,6 +36,18 @@ class ClusteringResult:
     inertia_history: tuple[float, ...]
 
 
+def check_seeding(seed: int, restarts: int) -> None:
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:  # random.Random seeds with |seed|, so -s would repeat s
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
+def check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+
+
 def _as_points(scores) -> np.ndarray:
     points = np.asarray(scores, dtype=float)
     if points.ndim == 1:
@@ -106,11 +118,6 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
 def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
     """The lowest-inertia Lloyd fit over k-means++ restarts drawn from ``seed``,
     with clusters numbered in order of their first point."""
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    # random.Random seeds with |seed|, so -s would repeat the fits of s.
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = random.Random(operator.index(seed))  # a numpy integer too
     best = None
     for _ in range(restarts):
@@ -125,10 +132,9 @@ def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
 
 def kmeans(scores, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
     """Best-of-restarts k-means; deterministic for a fixed seed (>= 0)."""
+    check_seeding(seed, restarts)
     points = _as_points(scores)
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    check_k(k, points.shape[0])
     labels, centroids, inertia, history = _best_fit(points, k, seed, restarts)
     return ClusteringResult(
         labels=labels,
@@ -206,14 +212,15 @@ def davies_bouldin(scores, labels) -> float:
 def elbow(
     scores, k_range, seed: int = 0, restarts: int = 10, fit: ClusteringResult | None = None
 ) -> tuple[tuple[int, float], ...]:
-    """``(k, best inertia)`` for each k over a range of cluster counts.
+    """``(k, inertia)`` for each k over a range of cluster counts.
 
-    Besides the usual restarts, each k > min(k_range) also tries a warm
-    start built from the previous k's best centroids plus the point
-    farthest from its centroid, which keeps the curve non-increasing.
+    Each k's inertia is the lowest that ``restarts`` greedy k-means++
+    restarts and, for k > min(k_range), a warm start from the previous
+    k's centroids plus the point farthest from its centroid reach.
     ``fit``, a ``kmeans`` result on the same scores with the same seed and
     restarts, stands in for the restarts at its own k.
     """
+    check_seeding(seed, restarts)
     points = _as_points(scores)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:

@@ -49,6 +49,22 @@ FEATURE_MODES = {"baseline": BASELINE_FEATURES, "enhanced": ENHANCED_FEATURES}
 _CONSTANT_STD_EPS = 1e-12
 
 
+def feature_columns(mode: str) -> tuple[str, ...]:
+    if mode not in FEATURE_MODES:
+        raise ValidationError(f"unknown feature mode {mode!r}")
+    return FEATURE_MODES[mode]
+
+
+def check_dominant_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(f"dominant threshold must lie in (0, 1), got {threshold}")
+
+
+def check_correlation_cities(n_cities: int) -> None:
+    if n_cities < 3:
+        raise ValidationError("correlation needs at least 3 cities")
+
+
 def rotate_bins(proportions: Sequence[float]) -> tuple[tuple[float, ...], int]:
     """Cyclically rotate so the maximum proportion leads (ties: lowest index)."""
     props = list(proportions)
@@ -68,10 +84,7 @@ def bearing_histogram(
     is the pre-rotation index that became bin 1. Links with no point
     distinct from their start node have no bearing and are left out.
     """
-    if not 0.0 < dominant_threshold < 1.0:
-        raise ValidationError(
-            f"dominant threshold must lie in (0, 1), got {dominant_threshold}"
-        )
+    check_dominant_threshold(dominant_threshold)
     counts = [0] * BIN_COUNT
     for link in city.graph.links:
         try:
@@ -105,13 +118,11 @@ def assemble_features(
     ``topo_metrics`` columns, plus the ``pattern_counts`` and
     ``bearing_histogram`` columns for the enhanced mode. Other keys are ignored.
     """
-    if mode not in FEATURE_MODES:
-        raise ValidationError(f"unknown feature mode {mode!r}")
+    names = feature_columns(mode)
     if not cities:
         raise DataError("empty corpus: no cities to assemble")
     if len(rows) != len(cities):
         raise ValidationError(f"{len(cities)} cities but {len(rows)} feature rows")
-    names = FEATURE_MODES[mode]
     values = []
     for city, row in zip(cities, rows):
         missing = [name for name in names if name not in row]
@@ -191,6 +202,5 @@ def pearson_report(z: FeatureMatrix) -> np.ndarray:
     """Pearson correlation matrix of a z-scored feature matrix, clipped to [-1, 1]."""
     if z.normalization != "zscore":
         raise ValidationError("correlation requires a z-scored matrix")
-    if z.values.shape[0] < 3:
-        raise ValidationError("correlation needs at least 3 cities")
+    check_correlation_cities(z.values.shape[0])
     return np.clip(correlation_matrix(z.values), -1.0, 1.0)

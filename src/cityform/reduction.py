@@ -20,6 +20,16 @@ _KAISER_TOL = 1e-9
 _NEAR_UNITY_TOL = 1e-6
 
 
+def check_factor_count(factors: int, n_features: int) -> None:
+    if not 1 <= factors <= n_features:
+        raise ValidationError(f"factors must lie in 1..{n_features}, got {factors}")
+
+
+def check_factor_cities(n_cities: int) -> None:
+    if n_cities < 3:
+        raise ValidationError("factor extraction needs at least 3 cities")
+
+
 @dataclass(frozen=True)
 class FactorModel:
     eigenvalues: tuple[float, ...]
@@ -43,8 +53,7 @@ def extract_factors(matrix: FeatureMatrix, retained_override: int | None = None)
     if not np.all(np.isfinite(values)):
         raise DataError("feature matrix contains non-finite values")
     n_cities, n_features = values.shape
-    if n_cities < 3:
-        raise ValidationError("factor extraction needs at least 3 cities")
+    check_factor_cities(n_cities)
 
     corr = correlation_matrix(values)
     eigvals, eigvecs = np.linalg.eigh(corr)
@@ -64,10 +73,7 @@ def extract_factors(matrix: FeatureMatrix, retained_override: int | None = None)
         )
 
     if retained_override is not None:
-        if not 1 <= retained_override <= n_features:
-            raise ValidationError(
-                f"retained override must lie in 1..{n_features}, got {retained_override}"
-            )
+        check_factor_count(retained_override, n_features)
         retained = retained_override
     else:
         retained = int(np.sum(eigvals > 1.0 + _KAISER_TOL))

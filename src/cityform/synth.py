@@ -53,6 +53,11 @@ _BEND_PROB = 0.45
 _BEND_DEG = (11.0, 18.0)
 
 
+def check_spacing(spacing: float) -> None:
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValidationError(f"spacing must be positive and finite, got {spacing}")
+
+
 @dataclass(frozen=True)
 class ArchetypeSpec:
     kind: str
@@ -67,8 +72,7 @@ class ArchetypeSpec:
             raise ValidationError(f"unknown archetype {self.kind!r}")
         if self.size < 9:
             raise ValidationError(f"size too small: {self.size} (need at least 9 nodes)")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
+        check_spacing(self.spacing)
         if not 0.0 <= self.jitter < 0.5:
             raise ValidationError(f"jitter must lie in [0, 0.5), got {self.jitter}")
         if not 0.0 <= self.dead_end_rate < 1.0:

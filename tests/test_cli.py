@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cityform
@@ -20,9 +21,23 @@ from cityform.cli import (
     run_pipeline,
     write_corpus,
 )
+from cityform.clustering import kmeans
 from cityform.errors import ValidationError
-from cityform.features import BASELINE_FEATURES, BEARING_BINS, bearing_histogram
+from cityform.features import (
+    BASELINE_FEATURES,
+    BEARING_BINS,
+    ENHANCED_FEATURES,
+    FeatureMatrix,
+    assemble_features,
+    bearing_histogram,
+    pearson_report,
+    zscore,
+)
 from cityform.graph import clip_to_city, load_boundaries, load_graph
+from cityform.reduction import extract_factors
+from cityform.synth import ArchetypeSpec
+
+from helpers import make_grid_city
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +179,17 @@ class TestStageCommands:
         assert -1.0 <= entry["silhouette"] <= 1.0
         elbow_rows = read_csv(tmp_path / "elbow.csv")
         assert elbow_rows[0] == ["k", "inertia"]
+
+    def test_coincident_factor_scores_give_a_degenerate_dbi(self, corpus, tmp_path):
+        # d3_t7 is 0 in every city of this corpus, so every factor score is
+        # 0 and both clusters share one centroid.
+        root, _ = corpus
+        drop = [name for name in ENHANCED_FEATURES if name != "d3_t7"]
+        argv = ["cluster", "--k", "2", "--drop-features", *drop] + io_args(root, tmp_path)
+        assert main(argv) == 0
+        entry = json.loads((tmp_path / "evaluation.json").read_text())["enhanced"]
+        assert entry["inertia"] == 0.0 and entry["silhouette"] == 0.0
+        assert entry["davies_bouldin"] is None and entry["degenerate_dbi"] is True
 
     def test_clusters_csv_does_not_depend_on_the_seed(self, corpus, tmp_path):
         root, _ = corpus
@@ -607,6 +633,72 @@ class TestRunner:
         if before == "True":
             pytest.skip("this numpy imports numpy.random with numpy itself")
         assert (code, after) == ("0", "False")
+
+
+def zscored(n_cities, columns=BASELINE_FEATURES):
+    values = np.arange(n_cities * len(columns), dtype=float).reshape(n_cities, -1) ** 2
+    return zscore(FeatureMatrix(tuple(f"c{i}" for i in range(n_cities)), tuple(columns), values))
+
+
+def first_cities(corpus, tmp_path, count):
+    """A copy of the corpus that keeps only its first ``count`` boundaries."""
+    doc = json.loads((corpus[0] / "boundaries.geojson").read_text())
+    doc["features"] = doc["features"][:count]
+    return corpus_copy(corpus, tmp_path, boundaries_replaced(doc))
+
+
+class TestSharedRules:
+    """A flag is refused by the very check its stage applies as a library call."""
+
+    @pytest.mark.parametrize(
+        "argv, cities, stage_call",
+        [
+            (["cluster", "--seed", "-1"], None, lambda: kmeans(np.zeros((6, 2)), 2, seed=-1)),
+            (["cluster", "--restarts", "0"], None, lambda: kmeans(np.zeros((6, 2)), 2, restarts=0)),
+            (["cluster", "--k", "99"], None, lambda: kmeans(np.zeros((6, 2)), 99)),
+            (
+                ["features", "--dominant-threshold", "1"],
+                None,
+                lambda: bearing_histogram(make_grid_city(3, 3, 100.0), 1.0),
+            ),
+            (["features"], 2, lambda: pearson_report(zscored(2))),
+            (
+                ["cluster", "--factors", "0"],
+                None,
+                lambda: extract_factors(zscored(3, ENHANCED_FEATURES), 0),
+            ),
+            (["cluster", "--k", "2"], 2, lambda: extract_factors(zscored(2))),
+            (["synth", "--spacing", "0"], None, lambda: ArchetypeSpec("gridded", 50, 0.0)),
+        ],
+        ids=[
+            "seed", "restarts", "k", "dominant-threshold", "correlation-cities", "factors",
+            "factor-cities", "spacing",
+        ],
+    )
+    def test_flag_and_stage_refuse_alike(self, corpus, tmp_path, capsys, argv, cities, stage_call):
+        with pytest.raises(ValidationError) as refused:
+            stage_call()
+        if argv[0] == "synth":
+            argv = argv + ["--count", "1", "--out", str(tmp_path / "out")]
+        else:
+            root = first_cities(corpus, tmp_path, cities) if cities else corpus[0]
+            argv = argv + io_args(root, tmp_path / "out")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"validation error: {refused.value}\n"
+
+    def test_feature_mode_is_refused_alike(self, corpus, tmp_path):
+        # --feature-mode has argparse choices, so only a RunConfig reaches the rule.
+        root, _ = corpus
+        config = RunConfig(
+            *(str(root / name) for name in ("nodes.csv", "links.csv", "boundaries.geojson")),
+            out_dir=str(tmp_path / "out"),
+            feature_mode="fancy",
+        )
+        with pytest.raises(ValidationError) as by_runner:
+            run_pipeline(config)
+        with pytest.raises(ValidationError) as by_stage:
+            assemble_features(["a"], [{}], "fancy")
+        assert str(by_runner.value) == str(by_stage.value) == "unknown feature mode 'fancy'"
 
 
 class TestOutputPath:

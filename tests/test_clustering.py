@@ -102,6 +102,27 @@ class TestKmeans:
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             elbow(FOUR_POINTS, [1, 2], seed=-1, restarts=1)
 
+    def test_one_dimensional_scores_are_one_column(self):
+        flat = kmeans(FOUR_POINTS[:, 0], 2, seed=0, restarts=1)
+        column = kmeans(FOUR_POINTS, 2, seed=0, restarts=1)
+        assert np.array_equal(flat.labels, NATURAL)
+        assert np.array_equal(flat.centroids, column.centroids)
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            (np.empty((0, 2)), "scores must be a non-empty 2-D array"),
+            (np.empty((3, 0)), "scores must be a non-empty 2-D array"),
+            (np.zeros((2, 2, 2)), "scores must be a non-empty 2-D array"),
+            ([[0.0, 1.0], [math.nan, 1.0]], "scores contain non-finite values"),
+            ([[0.0, 1.0], [math.inf, 1.0]], "scores contain non-finite values"),
+        ],
+        ids=["no-rows", "no-columns", "3-d", "nan", "inf"],
+    )
+    def test_bad_scores_rejected(self, scores, message):
+        with pytest.raises(ValidationError, match=message):
+            kmeans(scores, 1, seed=0, restarts=1)
+
     def test_numpy_integer_seed(self):
         a = kmeans(TWELVE_POINTS, 4, seed=np.int64(2), restarts=1)
         b = kmeans(TWELVE_POINTS, 4, seed=2, restarts=1)
@@ -273,6 +294,17 @@ class TestElbow:
         )
         assert elbow(points, range(1, 7), seed=4, restarts=3, fit=fit) == plain
         assert fitted == [1, 2, 4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "seed, restarts, message",
+        [(-1, 1, "seed must be >= 0, got -1"), (0, 0, "restarts must be >= 1, got 0")],
+    )
+    def test_supplied_fit_does_not_skip_the_seeding_rule(self, seed, restarts, message):
+        # The fit covers every k, so no restart is drawn: the rule still holds.
+        points = self.blobs()
+        fit = kmeans(points, 3, seed=0, restarts=1)
+        with pytest.raises(ValidationError, match=message):
+            elbow(points, [3], seed=seed, restarts=restarts, fit=fit)
 
     def test_bad_range(self):
         with pytest.raises(ValidationError):

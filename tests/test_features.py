@@ -149,6 +149,11 @@ class TestAssemble:
         with pytest.raises(DataError, match="empty corpus"):
             assemble_features([], [], "baseline")
 
+    def test_more_rows_than_cities(self):
+        names, rows = self.rows("baseline")
+        with pytest.raises(ValidationError, match="2 cities but 3 feature rows"):
+            assemble_features(names[:2], rows, "baseline")
+
     def test_missing_metric_names_city(self):
         with pytest.raises(DataError, match="grid4x4"):
             assemble_features(*self.rows("baseline"), "enhanced")

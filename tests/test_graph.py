@@ -153,6 +153,12 @@ class TestRoadGraph:
         with pytest.raises(error, match=match):
             RoadGraph(nodes, [RoadLink("L1", "A", to_node, (), length)], mode)
 
+    @pytest.mark.parametrize("mode", ["planar", "geographic"])
+    def test_non_finite_node_coordinate_rejected(self, mode):
+        nodes = [RoadNode("A", GeoPoint(0, 0)), RoadNode("B", GeoPoint(math.nan, 0))]
+        with pytest.raises(DataError, match="non-finite coordinate"):
+            RoadGraph(nodes, [], mode)
+
     def test_duplicate_link_id_rejected(self):
         nodes = [RoadNode("A", GeoPoint(0, 0)), RoadNode("B", GeoPoint(1, 0))]
         # Parallel links are legal; two links under one id are not.

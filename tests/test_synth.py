@@ -6,7 +6,7 @@ import pytest
 from cityform.errors import ValidationError
 from cityform.features import assemble_features, bearing_histogram, zscore
 from cityform.geometry import pattern_counts
-from cityform.graph import point_in_polygon
+from cityform.graph import GeoPoint, RoadGraph, RoadNode, point_in_polygon
 from cityform.synth import ArchetypeSpec, city_boundary, corpus_specs, generate
 from cityform.topology import DEGREE_FEATURES, degree_profile, topo_metrics
 
@@ -29,6 +29,10 @@ class TestSpecValidation:
     def test_bad_jitter(self):
         with pytest.raises(ValidationError):
             ArchetypeSpec(kind="gridded", size=50, spacing=100.0, jitter=0.5)
+
+    def test_dead_end_rate_below_one(self):
+        with pytest.raises(ValidationError, match=r"dead_end_rate must lie in \[0, 1\), got 1.0"):
+            ArchetypeSpec(kind="gridded", size=50, spacing=100.0, dead_end_rate=1.0)
 
     @pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
     def test_non_finite_spacing(self, spacing):
@@ -122,6 +126,13 @@ class TestDeterminismAndInvariants:
             boundary = city_boundary(city.graph, spec.spacing, city.city_name)
             for node in city.graph.nodes.values():
                 assert point_in_polygon(node.location, boundary)
+
+    def test_boundary_needs_three_distinct_nodes(self):
+        # Three nodes, two of them on one spot: no hull to buffer.
+        spots = [(0.0, 0.0), (100.0, 0.0), (100.0, 0.0)]
+        graph = RoadGraph([RoadNode(f"n{i}", GeoPoint(*p)) for i, p in enumerate(spots)], [], "planar")
+        with pytest.raises(ValidationError, match="convex hull needs at least 3 distinct points"):
+            city_boundary(graph, 100.0, "pair")
 
     def test_node_count_tracks_size(self):
         for kind in ("gridded", "orthogonal", "organic"):

@@ -1,5 +1,7 @@
-"""The benchmark's traced functions and README's library example stay in step with the package."""
+"""The benchmark's traced functions and README's library example stay in step with the
+package, and each error message of the package has one home."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -19,3 +21,30 @@ def test_readme_library_example_runs(capsys):
     block = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _message_text(node):
+    """The constant text of an error message: a string, or an f-string with
+    each replacement field as ``{}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in node.values)
+    return None
+
+
+def test_each_error_message_is_raised_by_one_module():
+    """A rule stated in two modules drifts: each message has one home."""
+    homes = {}
+    for path in sorted((ROOT / "src" / "cityform").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            func = node.exc.func
+            if getattr(func, "id", None) not in ("ValidationError", "DataError"):
+                continue
+            text = _message_text(node.exc.args[0]) if node.exc.args else None
+            if text and text.strip("{}"):
+                homes.setdefault(text, set()).add(path.name)
+    shared = {text: sorted(names) for text, names in homes.items() if len(names) > 1}
+    assert not shared, shared
