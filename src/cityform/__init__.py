@@ -7,6 +7,16 @@ assembly with factor extraction, and k-means typology clustering with
 Silhouette / Davies-Bouldin evaluation.
 """
 
+import os
+
+# Set before numpy loads, since OpenBLAS reads it once, at load. From 26
+# cities up, numpy's eigh of the features x features correlation matrix takes
+# LAPACK's divide-and-conquer path, whose dgemm wakes an OpenBLAS worker: on a
+# 2-core x86-64 host the call took 16 ms instead of 0.11 ms, and the idle
+# worker then spun on a core for ~0.1 s. One thread gives the same artifacts.
+# A value the caller set wins; a process that imported numpy first keeps its own.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .clustering import ClusteringResult, davies_bouldin, elbow, kmeans, silhouette

@@ -125,8 +125,7 @@ def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
         if best is None or fit[2] < best[2]:
             best = fit
     labels, centroids, inertia, history = best
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first)  # old cluster ids by first point
+    order = np.array(list(dict.fromkeys(labels.tolist())))  # old cluster ids by first point
     return np.argsort(order)[labels], centroids[order], inertia, history
 
 
@@ -155,7 +154,7 @@ def silhouette(scores, labels) -> float:
     """
     points = _as_points(scores)
     labels = np.asarray(labels)
-    cluster_ids = np.unique(labels)
+    cluster_ids = sorted(set(labels.tolist()))
     if len(cluster_ids) < 2:
         raise ValidationError("silhouette is undefined for a single cluster")
     diff = points[:, None, :] - points[None, :, :]
@@ -185,7 +184,7 @@ def davies_bouldin(scores, labels) -> float:
     """
     points = _as_points(scores)
     labels = np.asarray(labels)
-    cluster_ids = np.unique(labels)
+    cluster_ids = sorted(set(labels.tolist()))
     k = len(cluster_ids)
     if k < 2:
         raise ValidationError("Davies-Bouldin is undefined for a single cluster")

@@ -602,37 +602,98 @@ class TestRunner:
         root, _ = corpus
         assert main([command, "--feature-mode", "baseline"] + io_args(root, tmp_path)) == 0
 
-    def test_artifacts_do_not_depend_on_hash_seed(self, corpus, tmp_path):
-        root, _ = corpus
+    @staticmethod
+    def assert_artifacts_ignore(variable, root, out):
+        """``pipeline`` in fresh interpreters with ``variable`` set to 1 and
+        to 2 writes byte-identical artifacts."""
         src = str(Path(cityform.__file__).resolve().parents[1])
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        for value in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, **{variable: value})
             subprocess.run(
-                [sys.executable, "-m", "cityform.cli", "pipeline"]
-                + io_args(root, tmp_path / hash_seed),
+                [sys.executable, "-m", "cityform.cli", "pipeline"] + io_args(root, out / value),
                 env=env, check=True, capture_output=True,
             )
         for artifact in PIPELINE_ARTIFACTS:
-            left = (tmp_path / "1" / artifact).read_bytes()
-            assert left == (tmp_path / "2" / artifact).read_bytes(), artifact
+            left = (out / "1" / artifact).read_bytes()
+            assert left == (out / "2" / artifact).read_bytes(), artifact
 
-    def test_pipeline_leaves_numpy_random_unloaded(self, corpus, tmp_path):
-        # k-means seeds from the standard library's generator.
+    def test_artifacts_do_not_depend_on_hash_seed(self, corpus, tmp_path):
         root, _ = corpus
+        self.assert_artifacts_ignore("PYTHONHASHSEED", root, tmp_path)
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # From 26 cities up, eigh of the correlation matrix takes LAPACK's
+        # divide-and-conquer path, whose dgemm runs on OpenBLAS threads.
+        root = tmp_path / "corpus"
+        names = write_corpus(
+            ["gridded", "orthogonal", "organic"], count=9, seed=5, size=36,
+            spacing=100.0, out_dir=str(root),
+        )
+        assert len(names) == 27
+        self.assert_artifacts_ignore("OPENBLAS_NUM_THREADS", root, tmp_path)
+
+    @staticmethod
+    def loaded_by_pipeline(root, out, module):
+        """Whether ``module`` was loaded after importing numpy and after a
+        ``pipeline`` run in a fresh interpreter, with the run's exit code."""
         src = str(Path(cityform.__file__).resolve().parents[1])
         script = (
-            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            f"import sys, numpy; before = {module!r} in sys.modules; "
             "from cityform.cli import main; code = main(sys.argv[1:]); "
-            "print(code, before, 'numpy.random' in sys.modules)"
+            f"print(code, before, {module!r} in sys.modules)"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, "pipeline"] + io_args(root, tmp_path),
+            [sys.executable, "-c", script, "pipeline"] + io_args(root, out),
             env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
         )
         code, before, after = proc.stdout.split()[-3:]
         if before == "True":
-            pytest.skip("this numpy imports numpy.random with numpy itself")
-        assert (code, after) == ("0", "False")
+            pytest.skip(f"this numpy imports {module} with numpy itself")
+        return code, after
+
+    def test_pipeline_leaves_numpy_random_unloaded(self, corpus, tmp_path):
+        # k-means seeds from the standard library's generator.
+        root, _ = corpus
+        assert self.loaded_by_pipeline(root, tmp_path, "numpy.random") == ("0", "False")
+
+    def test_pipeline_leaves_numpy_ma_unloaded(self, corpus, tmp_path):
+        # np.unique imports numpy.ma on first use, for ~0.8 MB of memory.
+        root, _ = corpus
+        assert self.loaded_by_pipeline(root, tmp_path, "numpy.ma") == ("0", "False")
+
+
+class TestBlasThreadDefault:
+    """``import cityform`` sets OPENBLAS_NUM_THREADS=1 unless it is set."""
+
+    SETTING = "import os, cityform; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    THREADS = (
+        "import cityform; "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('Threads:')))"
+    )
+
+    def fresh_import(self, script, threads=None):
+        env = dict(os.environ, PYTHONPATH=str(Path(cityform.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)  # importing cityform here set it
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True
+        )
+        return proc.stdout.strip()
+
+    def test_unset_becomes_one(self):
+        assert self.fresh_import(self.SETTING) == "1"
+
+    def test_user_value_is_kept(self):
+        assert self.fresh_import(self.SETTING, "3") == "3"
+
+    def test_import_starts_no_blas_worker(self):
+        if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("counts threads in /proc/self/status, on 2 or more CPUs")
+        if self.fresh_import(self.THREADS, "2") != "2":
+            pytest.skip("this numpy's BLAS starts no worker thread at load")
+        assert self.fresh_import(self.THREADS) == "1"
 
 
 def zscored(n_cities, columns=BASELINE_FEATURES):
