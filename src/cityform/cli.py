@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .clustering import check_k, check_seeding, elbow, kmeans
+from .clustering import check_k, check_k_range, check_seeding, elbow, kmeans
 from .errors import DataError, ValidationError
 from .features import (
     BEARING_BINS,
@@ -241,14 +241,10 @@ def _labelled_table(corner: str, columns, labels, values):
     return [corner, *columns], [[label, *map(float, row)] for label, row in zip(labels, values)]
 
 
-def _elbow_rows(run: _Run) -> list[list]:
-    n_cities = len(run.cities)
-    lo, hi = run.config.k_range if run.config.k_range else (1, min(10, n_cities))
-    ks = range(lo, min(hi, n_cities) + 1)
-    # The run's own fit at k is the one the restarts would make again.
-    fit = run.clustering if run.config.k in ks else None
-    curve = elbow(run.factors.scores, ks, seed=run.config.seed, restarts=run.config.restarts, fit=fit)
-    return [[k, inertia] for k, inertia in curve]
+def _elbow_rows(run: _Run) -> tuple[tuple[int, float], ...]:
+    config = run.config
+    ks = check_k_range(config.k_range, len(run.cities))
+    return elbow(run.factors.scores, ks, seed=config.seed, restarts=config.restarts)
 
 
 def _evaluation(run: _Run) -> dict:
@@ -342,11 +338,8 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     n_cities = len(run.cities)
     if {"clusters.csv", "evaluation.json"} & set(artifacts):
         check_k(config.k, n_cities)
-    if "elbow.csv" in artifacts and config.k_range:
-        if not 1 <= config.k_range[0] <= min(config.k_range[1], n_cities):
-            raise ValidationError(
-                f"k range A..B needs 1 <= A <= min(B, {n_cities} cities), got {config.k_range}"
-            )
+    if "elbow.csv" in artifacts:
+        check_k_range(config.k_range, n_cities)
     # Artifacts in writing order: the first to refuse is the one the run
     # would reach after the betweenness.
     for name in artifacts:

@@ -1,11 +1,13 @@
 """K-means over factor scores, with Silhouette and Davies-Bouldin evaluation.
 
 Fitting uses greedy k-means++ seeding, Lloyd iterations to convergence,
-and a configurable number of restarts; the restart with the lowest inertia
-wins. Empty clusters are repaired during fitting by donating the point
-farthest from its current centroid, so every returned cluster is
-non-empty. Clusters are numbered in order of their first point. All
-distances are Euclidean, both for fitting and for the evaluation indices.
+and a configurable number of restarts. One path fits k = 1, 2, ... in
+order: each k keeps the lowest inertia of its restarts and of a warm start
+from the k-1 fit, so ``kmeans`` at k and the ``elbow`` row at k are one fit,
+and the elbow curve never rises. Empty clusters are repaired during fitting
+by donating the point farthest from its current centroid, so every returned
+cluster is non-empty. Clusters are numbered in order of their first point.
+All distances are Euclidean, both for fitting and for the evaluation indices.
 
 Seeding draws only ``random.Random(seed).random()``, a sequence Python
 keeps the same across releases, so results are the same for a fixed
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 
 MAX_LLOYD_ITERATIONS = 300
 
@@ -39,13 +41,20 @@ class ClusteringResult:
 def check_seeding(seed: int, restarts: int) -> None:
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:  # random.Random seeds with |seed|, so -s would repeat s
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
 
 
 def check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
+
+
+def check_k_range(k_range: tuple[int, int] | None, n: int) -> range:
+    """The elbow's k values for n cities: A..B cut at n, or 1..min(10, n) without a range."""
+    lo, hi = k_range or (1, min(10, n))
+    if not 1 <= lo <= min(hi, n):
+        raise ValidationError(f"k range A..B needs 1 <= A <= min(B, {n} cities), got {k_range}")
+    return range(lo, min(hi, n) + 1)
 
 
 def _as_points(scores) -> np.ndarray:
@@ -115,26 +124,34 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
     return labels, centroids, history[-1], history
 
 
-def _best_fit(points: np.ndarray, k: int, seed: int, restarts: int):
-    """The lowest-inertia Lloyd fit over k-means++ restarts drawn from ``seed``,
-    with clusters numbered in order of their first point."""
-    rng = random.Random(operator.index(seed))  # a numpy integer too
-    best = None
-    for _ in range(restarts):
-        fit = _lloyd(points, _kmeans_pp_init(points, k, rng))
-        if best is None or fit[2] < best[2]:
-            best = fit
-    labels, centroids, inertia, history = best
-    order = np.array(list(dict.fromkeys(labels.tolist())))  # old cluster ids by first point
-    return np.argsort(order)[labels], centroids[order], inertia, history
+def _fit_path(points: np.ndarray, k_max: int, seed: int, restarts: int) -> list:
+    """The fits at k = 1..k_max, in order, each numbered by first point.
+
+    Each k keeps the lowest-inertia of ``restarts`` k-means++ restarts drawn
+    from a fresh ``random.Random(seed)`` and, from k = 2 on, a Lloyd fit
+    started from the k-1 fit's centroids plus the point farthest from its
+    centroid. A tie keeps the earlier restart, and a restart over the warm start.
+    """
+    fits = []
+    for k in range(1, k_max + 1):
+        rng = random.Random(operator.index(seed))  # a numpy integer too
+        candidates = [_lloyd(points, _kmeans_pp_init(points, k, rng)) for _ in range(restarts)]
+        if fits:
+            labels, centroids = fits[-1][:2]
+            farthest = ((points - centroids[labels]) ** 2).sum(axis=1).argmax()
+            candidates.append(_lloyd(points, np.vstack([centroids, points[farthest]])))
+        labels, centroids, inertia, history = min(candidates, key=operator.itemgetter(2))
+        order = np.array(list(dict.fromkeys(labels.tolist())))  # old cluster ids by first point
+        fits.append((np.argsort(order)[labels], centroids[order], inertia, history))
+    return fits
 
 
 def kmeans(scores, k: int, seed: int = 0, restarts: int = 10) -> ClusteringResult:
-    """Best-of-restarts k-means; deterministic for a fixed seed (>= 0)."""
+    """The fit at k of ``_fit_path``; deterministic for a fixed seed (>= 0)."""
     check_seeding(seed, restarts)
     points = _as_points(scores)
     check_k(k, points.shape[0])
-    labels, centroids, inertia, history = _best_fit(points, k, seed, restarts)
+    labels, centroids, inertia, history = _fit_path(points, k, seed, restarts)[-1]
     return ClusteringResult(
         labels=labels,
         centroids=centroids,
@@ -208,16 +225,12 @@ def davies_bouldin(scores, labels) -> float:
     return total / k
 
 
-def elbow(
-    scores, k_range, seed: int = 0, restarts: int = 10, fit: ClusteringResult | None = None
-) -> tuple[tuple[int, float], ...]:
+def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int, float], ...]:
     """``(k, inertia)`` for each k over a range of cluster counts.
 
-    Each k's inertia is the lowest that ``restarts`` greedy k-means++
-    restarts and, for k > min(k_range), a warm start from the previous
-    k's centroids plus the point farthest from its centroid reach.
-    ``fit``, a ``kmeans`` result on the same scores with the same seed and
-    restarts, stands in for the restarts at its own k.
+    Each k's inertia is ``kmeans(scores, k, seed, restarts).inertia``: the
+    curve reads one ``_fit_path`` up to the largest k, which starts at
+    k = 1 whatever the range, so it never rises.
     """
     check_seeding(seed, restarts)
     points = _as_points(scores)
@@ -226,26 +239,5 @@ def elbow(
         raise ValidationError("k_range is empty")
     if ks[0] < 1 or ks[-1] > points.shape[0]:
         raise ValidationError(f"k_range must lie within 1..{points.shape[0]}")
-    entries = []
-    prev: tuple[np.ndarray, np.ndarray] | None = None
-    for k in ks:
-        if fit is not None and len(fit.centroids) == k:
-            labels, centroids, inertia = fit.labels, fit.centroids, fit.inertia
-        else:
-            labels, centroids, inertia, _ = _best_fit(points, k, seed, restarts)
-        if prev is not None:
-            prev_labels, prev_centroids = prev
-            warm = prev_centroids
-            warm_labels = prev_labels
-            while warm.shape[0] < k:
-                residual = ((points - warm[warm_labels]) ** 2).sum(axis=1)
-                warm = np.vstack([warm, points[int(residual.argmax())]])
-                warm_labels = (
-                    ((points[:, None, :] - warm[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-                )
-            w_labels, w_centroids, w_inertia, _ = _lloyd(points, warm)
-            if w_inertia < inertia:
-                labels, centroids, inertia = w_labels, w_centroids, w_inertia
-        entries.append((k, float(inertia)))
-        prev = (labels, centroids)
-    return tuple(entries)
+    fits = _fit_path(points, ks[-1], seed, restarts)
+    return tuple((k, fits[k - 1][2]) for k in ks)

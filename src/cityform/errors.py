@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed rule of its two seeded stages."""
 
 
 class CityformError(Exception):
@@ -19,3 +19,8 @@ class EmptyCityError(DataError):
 
 class DegenerateGeometryError(DataError):
     """Geometry too degenerate to define a direction or an angle."""
+
+
+def check_seed(seed: int) -> None:
+    if seed < 0:  # random.Random seeds with |seed|, so -s would repeat s
+        raise ValidationError(f"seed must be >= 0, got {seed}")

@@ -30,7 +30,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .graph import (
     CityBoundary,
     CityNetwork,
@@ -73,6 +73,7 @@ class ArchetypeSpec:
         if self.size < 9:
             raise ValidationError(f"size too small: {self.size} (need at least 9 nodes)")
         check_spacing(self.spacing)
+        check_seed(self.seed)
         if not 0.0 <= self.jitter < 0.5:
             raise ValidationError(f"jitter must lie in [0, 0.5), got {self.jitter}")
         if not 0.0 <= self.dead_end_rate < 1.0:
@@ -477,6 +478,7 @@ def corpus_specs(
     archetype-specific ranges so topology overlaps across archetypes while
     intersection geometry stays characteristic.
     """
+    check_seed(seed)
     rng = random.Random(seed)
     ranges = {
         "gridded": {

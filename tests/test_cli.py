@@ -21,7 +21,7 @@ from cityform.cli import (
     run_pipeline,
     write_corpus,
 )
-from cityform.clustering import kmeans
+from cityform.clustering import check_k_range, kmeans
 from cityform.errors import ValidationError
 from cityform.features import (
     BASELINE_FEATURES,
@@ -95,6 +95,8 @@ class TestSynthCommand:
             ("--spacing", "inf", "spacing must be positive and finite, got inf"),
             ("--spacing", "-100", "spacing must be positive and finite, got -100.0"),
             ("--spacing", "0", "spacing must be positive and finite, got 0.0"),
+            # random.Random seeds with |seed|: -3 would write the corpus of seed 3.
+            ("--seed", "-3", "seed must be >= 0, got -3"),
         ],
     )
     def test_bad_size_or_spacing_is_validation(self, tmp_path, capsys, flag, value, message):
@@ -208,18 +210,14 @@ class TestStageCommands:
             tmp_path / "1" / "clusters.csv"
         ).read_bytes()
 
-    def test_elbow_reuses_the_run_fit_at_k(self, corpus, tmp_path, monkeypatch):
-        fitted = []
-        best_fit = cityform.clustering._best_fit
-
-        def record(points, k, *rest):
-            fitted.append(k)
-            return best_fit(points, k, *rest)
-
-        monkeypatch.setattr("cityform.clustering._best_fit", record)
-        root, _ = corpus
-        assert main(["cluster", "--k", "3", "--k-range", "2..4"] + io_args(root, tmp_path)) == 0
-        assert fitted == [3, 2, 4]
+    def test_evaluation_inertia_is_the_elbow_row_at_k(self, tmp_path):
+        # On this corpus the warm start from k = 3 beats every restart at k = 4.
+        root = tmp_path / "corpus"
+        write_corpus(["gridded", "orthogonal", "organic"], 4, 7, 120, 100.0, str(root))
+        assert main(["pipeline", "--k", "4"] + io_args(root, tmp_path / "out")) == 0
+        inertia = json.loads((tmp_path / "out" / "evaluation.json").read_text())["enhanced"]["inertia"]
+        rows = dict(read_csv(tmp_path / "out" / "elbow.csv")[1:])
+        assert inertia == float(rows["4"]) == 72.58614131173438
 
     def test_ingest_command(self, corpus, tmp_path):
         root, names = corpus
@@ -729,11 +727,13 @@ class TestSharedRules:
                 lambda: extract_factors(zscored(3, ENHANCED_FEATURES), 0),
             ),
             (["cluster", "--k", "2"], 2, lambda: extract_factors(zscored(2))),
+            (["cluster", "--k-range", "0..3"], None, lambda: check_k_range((0, 3), 6)),
             (["synth", "--spacing", "0"], None, lambda: ArchetypeSpec("gridded", 50, 0.0)),
+            (["synth", "--seed", "-3"], None, lambda: ArchetypeSpec("gridded", 50, 100.0, seed=-3)),
         ],
         ids=[
             "seed", "restarts", "k", "dominant-threshold", "correlation-cities", "factors",
-            "factor-cities", "spacing",
+            "factor-cities", "k-range", "spacing", "synth-seed",
         ],
     )
     def test_flag_and_stage_refuse_alike(self, corpus, tmp_path, capsys, argv, cities, stage_call):

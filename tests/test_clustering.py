@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cityform import clustering
 from cityform.clustering import davies_bouldin, elbow, kmeans, silhouette
@@ -18,6 +21,16 @@ NATURAL = np.array([0, 0, 1, 1])
 TWELVE_POINTS = np.array(
     [[0.0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6], [10, 0], [11, 0], [10, 1], [3, 8], [8, 8], [2, 2]]
 )
+
+
+def restart_fit(points, k, seed, restarts):
+    """The restarts alone: the lowest-inertia Lloyd fit from ``restarts`` k-means++
+    seedings drawn from one ``random.Random(seed)``, numbered by first point."""
+    rng = random.Random(seed)
+    seedings = [clustering._kmeans_pp_init(points, k, rng) for _ in range(restarts)]
+    labels, _, inertia, _ = min((clustering._lloyd(points, c) for c in seedings), key=lambda fit: fit[2])
+    firsts = list(dict.fromkeys(labels.tolist()))
+    return [firsts.index(label) for label in labels.tolist()], inertia
 
 
 def best_two_partition_inertia(points):
@@ -139,9 +152,9 @@ class TestKmeans:
     def test_seeding_stream_is_pinned(self, seed, labels, inertia):
         # One restart, so each seed's own k-means++ draws decide the local
         # optimum: these values pin the seeding stream and the greedy choice.
-        result = kmeans(TWELVE_POINTS, 4, seed=seed, restarts=1)
-        assert result.labels.tolist() == labels
-        assert result.inertia == pytest.approx(inertia, rel=1e-12)
+        assert restart_fit(TWELVE_POINTS, 4, seed, 1) == (labels, pytest.approx(inertia, rel=1e-12))
+        # The warm start from k = 3 can only improve on it.
+        assert kmeans(TWELVE_POINTS, 4, seed=seed, restarts=1).inertia <= inertia
 
     def test_clusters_numbered_by_first_point(self):
         rng = np.random.default_rng(4)
@@ -283,28 +296,18 @@ class TestElbow:
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
 
-    def test_fit_at_k_stands_in_for_its_restarts(self, monkeypatch):
-        points = self.blobs()
-        plain = elbow(points, range(1, 7), seed=4, restarts=3)
-        fit = kmeans(points, 3, seed=4, restarts=3)
-        fitted = []
-        best_fit = clustering._best_fit
-        monkeypatch.setattr(
-            clustering, "_best_fit", lambda points, k, *rest: fitted.append(k) or best_fit(points, k, *rest)
-        )
-        assert elbow(points, range(1, 7), seed=4, restarts=3, fit=fit) == plain
-        assert fitted == [1, 2, 4, 5, 6]
-
-    @pytest.mark.parametrize(
-        "seed, restarts, message",
-        [(-1, 1, "seed must be >= 0, got -1"), (0, 0, "restarts must be >= 1, got 0")],
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=2, max_size=10),
+        st.integers(0, 50),
+        st.integers(1, 3),
     )
-    def test_supplied_fit_does_not_skip_the_seeding_rule(self, seed, restarts, message):
-        # The fit covers every k, so no restart is drawn: the rule still holds.
-        points = self.blobs()
-        fit = kmeans(points, 3, seed=0, restarts=1)
-        with pytest.raises(ValidationError, match=message):
-            elbow(points, [3], seed=seed, restarts=restarts, fit=fit)
+    @settings(max_examples=60, deadline=None)
+    def test_row_at_k_is_the_kmeans_fit_at_k(self, rows, seed, restarts):
+        # Integer coordinates make duplicate points and tied distances common.
+        points = np.array(rows, dtype=float)
+        for k, inertia in elbow(points, range(1, len(points) + 1), seed=seed, restarts=restarts):
+            assert inertia == kmeans(points, k, seed=seed, restarts=restarts).inertia
+            assert inertia <= restart_fit(points, k, seed, restarts)[1]
 
     def test_bad_range(self):
         with pytest.raises(ValidationError):
