@@ -241,12 +241,6 @@ def _labelled_table(corner: str, columns, labels, values):
     return [corner, *columns], [[label, *map(float, row)] for label, row in zip(labels, values)]
 
 
-def _elbow_rows(run: _Run) -> tuple[tuple[int, float], ...]:
-    config = run.config
-    ks = check_k_range(config.k_range, len(run.cities))
-    return elbow(run.factors.scores, ks, seed=config.seed, restarts=config.restarts)
-
-
 def _evaluation(run: _Run) -> dict:
     config, result = run.config, run.clustering
     return {
@@ -312,7 +306,9 @@ _CONTENTS = {
         [[name, int(label)] for name, label in zip(run.matrix.cities, run.clustering.labels)],
     ),
     "evaluation.json": _evaluation,
-    "elbow.csv": lambda run: (["k", "inertia"], _elbow_rows(run)),
+    "elbow.csv": lambda run: (
+        ["k", "inertia"], elbow(run.factors.scores, run.config.k_range, run.config.seed, run.config.restarts)
+    ),
     "run_manifest.json": lambda run: {
         "tool": "cityform",
         "version": __version__,

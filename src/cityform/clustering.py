@@ -225,8 +225,10 @@ def davies_bouldin(scores, labels) -> float:
     return total / k
 
 
-def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int, float], ...]:
-    """``(k, inertia)`` for each k over a range of cluster counts.
+def elbow(scores, k_range=None, seed: int = 0, restarts: int = 10) -> tuple[tuple[int, float], ...]:
+    """``(k, inertia)`` for each k of ``check_k_range(k_range, n)`` on n points:
+    A..B cut at n for the pair (A, B) of ``--k-range A..B``, which needs
+    1 <= A <= min(B, n), and 1..min(10, n) for None.
 
     Each k's inertia is ``kmeans(scores, k, seed, restarts).inertia``: the
     curve reads one ``_fit_path`` up to the largest k, which starts at
@@ -234,10 +236,6 @@ def elbow(scores, k_range, seed: int = 0, restarts: int = 10) -> tuple[tuple[int
     """
     check_seeding(seed, restarts)
     points = _as_points(scores)
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValidationError("k_range is empty")
-    if ks[0] < 1 or ks[-1] > points.shape[0]:
-        raise ValidationError(f"k_range must lie within 1..{points.shape[0]}")
+    ks = check_k_range(k_range, points.shape[0])
     fits = _fit_path(points, ks[-1], seed, restarts)
     return tuple((k, fits[k - 1][2]) for k in ks)

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -36,6 +37,11 @@ MODES = ("geographic", "planar")
 
 # Tolerance, in coordinate units, for "point lies on the boundary" tests.
 _ON_BOUNDARY_EPS = 1e-9
+
+
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValidationError(f"unknown coordinate mode: {mode!r}")
 
 
 class GeoPoint(NamedTuple):
@@ -94,8 +100,7 @@ class RoadGraph:
     """
 
     def __init__(self, nodes: Iterable[RoadNode], links: Iterable[RoadLink], mode: str):
-        if mode not in MODES:
-            raise ValidationError(f"unknown coordinate mode: {mode!r}")
+        check_mode(mode)
         self.mode = mode
         self.nodes: dict[str, RoadNode] = {}
         for node in nodes:
@@ -387,29 +392,34 @@ def _parse_shape_points(raw: str, where: str) -> tuple[GeoPoint, ...]:
     return tuple(points)
 
 
-def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
-    """``(file:line, fields)`` for each non-blank row after ``header``.
-
-    The file is read as UTF-8, with or without a byte-order mark.
-    """
+@contextmanager
+def _reading(path: str, what: str, undecodable: tuple, **kwargs):
+    """The file opened as UTF-8, with or without a BOM. An OSError (missing, unreadable,
+    a directory) is a ValidationError; an ``undecodable`` error, the DataError "PATH: what"."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            actual = next(reader, None)
-            if actual is None or [c.strip() for c in actual] != header:
-                raise DataError(f"{path}: expected header {','.join(header)!r}, got {actual!r}")
-            for row in reader:
-                if not any(field.strip() for field in row):
-                    continue
-                # The row's last line: a quoted field may span several.
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-                yield where, row
-    except OSError as exc:  # missing, unreadable, a directory
+        with open(path, encoding="utf-8-sig", **kwargs) as handle:
+            yield handle
+    except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    except undecodable as exc:
+        raise DataError(f"{path}: {what} ({exc})") from None
+
+
+def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(file:line, fields)`` for each non-blank row after ``header``."""
+    with _reading(path, "unreadable CSV", (UnicodeDecodeError, csv.Error), newline="") as handle:
+        reader = csv.reader(handle)
+        actual = next(reader, None)
+        if actual is None or [c.strip() for c in actual] != header:
+            raise DataError(f"{path}: expected header {','.join(header)!r}, got {actual!r}")
+        for row in reader:
+            if not any(field.strip() for field in row):
+                continue
+            # The row's last line: a quoted field may span several.
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield where, row
 
 
 def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
@@ -419,8 +429,7 @@ def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
     where ``shape_points`` is a semicolon-separated list of ``x y`` pairs and
     an empty ``length_m`` means "compute the polyline length".
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown coordinate mode: {mode!r}")
+    check_mode(mode)
     nodes: list[RoadNode] = []
     for where, row in _csv_rows(nodes_file, NODES_HEADER):
         point = GeoPoint(_parse_float(row[1], "x", where), _parse_float(row[2], "y", where))
@@ -453,13 +462,9 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     Each feature must be a Polygon or MultiPolygon and carry a ``name``
     property, a non-empty string or a number, that no other feature carries.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            doc = json.load(handle)
-    except OSError as exc:  # missing, unreadable, a directory
-        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, deep nesting
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    # A ValueError also covers non-UTF-8 bytes; a RecursionError, deep nesting.
+    with _reading(path, "invalid JSON", (ValueError, RecursionError)) as handle:
+        doc = json.load(handle)
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a GeoJSON FeatureCollection")

@@ -41,6 +41,12 @@ _TIE_REL_TOL = 1e-12
 _OPPOSING_LENGTH_TOL_M = 1.0
 
 
+def _node_count(city: CityNetwork) -> int:
+    if city.is_empty:
+        raise EmptyCityError(f"city {city.city_name!r} has no nodes")
+    return city.graph.node_count
+
+
 def degree_profile(city: CityNetwork) -> dict[str, float]:
     """Out-degree shares (``DEGREE_FEATURES``) and the share of nodes whose
     in-degree differs from their out-degree (``pct_in_ne_out``).
@@ -48,9 +54,7 @@ def degree_profile(city: CityNetwork) -> dict[str, float]:
     Nodes with out-degree 0, pure sinks on one-way graphs, fall in no class.
     """
     graph = city.graph
-    n = graph.node_count
-    if n == 0:
-        raise EmptyCityError(f"city {city.city_name!r} has no nodes")
+    n = _node_count(city)
     out_counts = [0] * len(DEGREE_FEATURES)
     unbalanced = 0
     for node_id in graph.nodes:
@@ -134,9 +138,7 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
     + d * (2 * (w(u) - size(i)) + out(u) + in(u)).
     """
     graph = city.graph
-    n = graph.node_count
-    if n == 0:
-        raise EmptyCityError(f"city {city.city_name!r} has no nodes")
+    n = _node_count(city)
     ids = list(graph.nodes)
     index = {nid: i for i, nid in enumerate(ids)}
     adjacency: list[list[tuple[int, float]]] = [
@@ -290,13 +292,11 @@ def undirected_edge_lengths(city: CityNetwork) -> list[float]:
 
 def geometric_summaries(city: CityNetwork) -> dict[str, float]:
     """Link-node ratio, street density (km/km^2), and mean street length."""
-    graph = city.graph
-    if graph.node_count == 0:
-        raise EmptyCityError(f"city {city.city_name!r} has no nodes")
+    n = _node_count(city)
     lengths = undirected_edge_lengths(city)
     total_km = sum(lengths) / 1000.0
     return {
-        "link_node_ratio": len(lengths) / graph.node_count,
+        "link_node_ratio": len(lengths) / n,
         "density_km_per_km2": total_km / city.area_km2,
         "mean_link_length_m": sum(lengths) / len(lengths) if lengths else 0.0,
     }

@@ -21,7 +21,7 @@ from cityform.cli import (
     run_pipeline,
     write_corpus,
 )
-from cityform.clustering import check_k_range, kmeans
+from cityform.clustering import elbow, kmeans
 from cityform.errors import ValidationError
 from cityform.features import (
     BASELINE_FEATURES,
@@ -33,9 +33,11 @@ from cityform.features import (
     pearson_report,
     zscore,
 )
+from cityform.geometry import pattern_counts
 from cityform.graph import clip_to_city, load_boundaries, load_graph
 from cityform.reduction import extract_factors
 from cityform.synth import ArchetypeSpec
+from cityform.topology import topo_metrics
 
 from helpers import make_grid_city
 
@@ -727,7 +729,7 @@ class TestSharedRules:
                 lambda: extract_factors(zscored(3, ENHANCED_FEATURES), 0),
             ),
             (["cluster", "--k", "2"], 2, lambda: extract_factors(zscored(2))),
-            (["cluster", "--k-range", "0..3"], None, lambda: check_k_range((0, 3), 6)),
+            (["cluster", "--k-range", "0..3"], None, lambda: elbow(np.zeros((6, 2)), (0, 3))),
             (["synth", "--spacing", "0"], None, lambda: ArchetypeSpec("gridded", 50, 0.0)),
             (["synth", "--seed", "-3"], None, lambda: ArchetypeSpec("gridded", 50, 100.0, seed=-3)),
         ],
@@ -760,6 +762,20 @@ class TestSharedRules:
         with pytest.raises(ValidationError) as by_stage:
             assemble_features(["a"], [{}], "fancy")
         assert str(by_runner.value) == str(by_stage.value) == "unknown feature mode 'fancy'"
+
+    def test_library_elbow_gives_the_rows_of_k_range(self, tmp_path):
+        # --k-range 1..20 on 12 cities is cut at 12, in the library as in the CLI.
+        root = tmp_path / "corpus"
+        write_corpus(["gridded", "orthogonal", "organic"], 4, 5, 48, 100.0, str(root))
+        assert main(["pipeline", "--k-range", "1..20"] + io_args(root, tmp_path / "out")) == 0
+        graph = load_graph(str(root / "nodes.csv"), str(root / "links.csv"), "planar")
+        cities = [clip_to_city(graph, b) for b in load_boundaries(str(root / "boundaries.geojson"))]
+        rows = [{**topo_metrics(c), **pattern_counts(c), **bearing_histogram(c)} for c in cities]
+        matrix = zscore(assemble_features([c.city_name for c in cities], rows, "enhanced"))
+        curve = elbow(extract_factors(matrix).scores, (1, 20))
+        written = read_csv(tmp_path / "out" / "elbow.csv")[1:]
+        assert len(written) == len(cities) == 12
+        assert written == [[str(k), repr(inertia)] for k, inertia in curve]
 
 
 class TestOutputPath:

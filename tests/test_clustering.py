@@ -113,7 +113,7 @@ class TestKmeans:
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             kmeans(FOUR_POINTS, 2, seed=-1, restarts=1)
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-            elbow(FOUR_POINTS, [1, 2], seed=-1, restarts=1)
+            elbow(FOUR_POINTS, (1, 2), seed=-1, restarts=1)
 
     def test_one_dimensional_scores_are_one_column(self):
         flat = kmeans(FOUR_POINTS[:, 0], 2, seed=0, restarts=1)
@@ -265,7 +265,7 @@ class TestElbow:
 
     def test_three_blob_drop_ratio(self):
         points = self.blobs()
-        curve = elbow(points, range(1, 6), seed=0, restarts=5)
+        curve = elbow(points, (1, 5), seed=0, restarts=5)
         inertia = dict(curve)
         drop_to_three = inertia[2] - inertia[3]
         drop_to_four = inertia[3] - inertia[4]
@@ -273,28 +273,39 @@ class TestElbow:
 
     def test_k_equals_n(self):
         points = np.array([[0.0], [1.0], [2.0]])
-        curve = elbow(points, [3], seed=0, restarts=2)
+        curve = elbow(points, (3, 3), seed=0, restarts=2)
         assert curve[0][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_k_one_total_deviation(self):
         points = self.blobs()
-        curve = elbow(points, [1], seed=0, restarts=2)
+        curve = elbow(points, (1, 1), seed=0, restarts=2)
         expected = ((points - points.mean(axis=0)) ** 2).sum()
         assert curve[0][1] == pytest.approx(expected, rel=1e-12)
 
     def test_non_increasing(self):
         points = self.blobs()
-        curve = elbow(points, range(1, 11), seed=4, restarts=2)
+        curve = elbow(points, (1, 10), seed=4, restarts=2)
         values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
 
-    def test_non_increasing_over_gapped_range(self):
+    def test_range_from_three_is_the_kmeans_fits(self):
+        # The path still starts at k = 1, so each row is the fit kmeans makes.
         points = self.blobs()
-        curve = elbow(points, [1, 3, 6, 10], seed=2, restarts=1)
+        curve = elbow(points, (3, 6), seed=2, restarts=1)
+        assert [k for k, _ in curve] == [3, 4, 5, 6]
+        for k, inertia in curve:
+            assert inertia == kmeans(points, k, seed=2, restarts=1).inertia
         values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
+
+    def test_range_is_cut_at_the_point_count(self):
+        assert [k for k, _ in elbow(FOUR_POINTS, (2, 99), seed=0, restarts=1)] == [2, 3, 4]
+
+    def test_no_range_is_one_to_ten_at_most(self):
+        assert [k for k, _ in elbow(self.blobs(), seed=0, restarts=1)] == list(range(1, 11))
+        assert [k for k, _ in elbow(FOUR_POINTS, None, seed=0, restarts=1)] == [1, 2, 3, 4]
 
     @given(
         st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=2, max_size=10),
@@ -305,12 +316,15 @@ class TestElbow:
     def test_row_at_k_is_the_kmeans_fit_at_k(self, rows, seed, restarts):
         # Integer coordinates make duplicate points and tied distances common.
         points = np.array(rows, dtype=float)
-        for k, inertia in elbow(points, range(1, len(points) + 1), seed=seed, restarts=restarts):
+        for k, inertia in elbow(points, (1, len(points)), seed=seed, restarts=restarts):
             assert inertia == kmeans(points, k, seed=seed, restarts=restarts).inertia
             assert inertia <= restart_fit(points, k, seed, restarts)[1]
 
     def test_bad_range(self):
-        with pytest.raises(ValidationError):
-            elbow(self.blobs(), [0, 1], seed=0, restarts=1)
-        with pytest.raises(ValidationError):
-            elbow(self.blobs(), [], seed=0, restarts=1)
+        # The message of --k-range: A..B needs 1 <= A <= min(B, n).
+        with pytest.raises(ValidationError, match=r"needs 1 <= A <= min\(B, 30 cities\), got \(0, 1\)"):
+            elbow(self.blobs(), (0, 1), seed=0, restarts=1)
+        with pytest.raises(ValidationError, match=r"got \(3, 2\)"):
+            elbow(self.blobs(), (3, 2), seed=0, restarts=1)
+        with pytest.raises(ValidationError, match=r"got \(31, 40\)"):
+            elbow(self.blobs(), (31, 40), seed=0, restarts=1)
