@@ -17,6 +17,7 @@ keeps the same across releases, so results are the same for a fixed
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -51,6 +52,12 @@ def check_k(k: int, n: int) -> None:
 
 def check_k_range(k_range: tuple[int, int] | None, n: int) -> range:
     """The elbow's k values for n cities: A..B cut at n, or 1..min(10, n) without a range."""
+    if k_range is not None and not (
+        isinstance(k_range, tuple)
+        and len(k_range) == 2
+        and all(isinstance(k, numbers.Integral) for k in k_range)
+    ):
+        raise ValidationError(f"k range must be None or a pair (A, B) of ints, got {k_range!r}")
     lo, hi = k_range or (1, min(10, n))
     if not 1 <= lo <= min(hi, n):
         raise ValidationError(f"k range A..B needs 1 <= A <= min(B, {n} cities), got {k_range}")

@@ -18,6 +18,8 @@ from __future__ import annotations
 import statistics
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import EmptyCityError
 from .graph import CityNetwork
 
@@ -35,6 +37,20 @@ METRIC_COLUMNS = DEGREE_FEATURES + (
 # Relative tolerance for "two path lengths are equal" during shortest-path
 # counting; keeps tie detection stable under float summation order.
 _TIE_REL_TOL = 1e-12
+
+# A source whose shortest-path tree has an alternative link within this
+# relative margin of a node's distance runs the scalar loop: 1000 times the
+# tie tolerance, so it also catches candidates that rounding puts just
+# outside it.
+_TIE_SCREEN_REL = 1e-9
+
+# The batch path runs max(1, _BATCH_CELLS // m) sources of an m-node core at
+# once, so that its arrays hold about this many (source, node) cells.
+_BATCH_CELLS = 16384
+# The tie screen takes a batch's sources in chunks of about this many
+# (source, link) cells: screening a whole batch at once added about 0.7 MB
+# to the benchmark's peak RSS.
+_SCREEN_CELLS = 4096
 
 # Opposing directed links collapse into one street when their lengths agree
 # within this many meters.
@@ -136,6 +152,20 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
     running over its pruned children; a pruned node i with root u and
     d = size(i) - 1 gains d^2 - sum_c size(c)^2
     + d * (2 * (w(u) - size(i)) + out(u) + in(u)).
+
+    The sources run in batches of max(1, ``_BATCH_CELLS`` // m) over an
+    m-node core (``_tree_rows``): label-correcting rounds in numpy find
+    every source's distances at once, and the link that set each one. From
+    a source whose shortest paths are unique every sigma is 1, delta(x) is
+    the sum of w over the nodes below x, an integer, and w(s) * delta(x) is an
+    exact integer float whatever the order of the sums: the floats of the
+    scalar Dijkstra loop (``_brandes_source``), bit for bit. The tie screen
+    (``_ties``) leaves a source to that loop when another link comes within
+    ``_TIE_SCREEN_REL`` (1e-9, 1000 times the tie tolerance) of a node's
+    distance, a parallel copy of its tree link included, or when a tree
+    link's length is absorbed. The rows go into bc one source at a time,
+    in source order, so once a tied source makes bc fractional its sums
+    keep the scalar loop's order.
     """
     graph = city.graph
     n = _node_count(city)
@@ -154,87 +184,33 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
         [(position[u], length) for u, length in adjacency[v] if parent[u] < 0]
         for v in core
     ]
-    weight = [float(size[v]) for v in core]
     m = len(core)
-    bc = [0.0] * m
-    reach_in = [0.0] * m
-    reach_out = [0.0] * m
-    inf = float("inf")
-    rel = _TIE_REL_TOL
-    pop, push = heappop, heappush
-    for source in range(m):
-        dist = [inf] * m
-        sigma = [0.0] * m
-        # A node's predecessors: None before it is reached, the index of its
-        # sole predecessor while it has one, a list from its first tie on.
-        preds: list[int | list[int] | None] = [None] * m
-        settled = [False] * m
-        order: list[int] = []
-        dist[source] = 0.0
-        sigma[source] = 1.0
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, v = pop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            order.append(v)
-            sigma_v = sigma[v]
-            for w, length in core_adjacency[v]:
-                if settled[w]:
-                    continue
-                candidate = d + length
-                dw = dist[w]
-                # The tie rule is |candidate - dw| <= rel * max(candidate, dw)
-                # and an improvement is candidate < dw - rel * max(candidate, dw),
-                # split by which side is larger so that each branch evaluates
-                # the same float expressions. candidate >= dw (dw finite):
-                # the max is candidate, and dw - rel * candidate <= dw rules out
-                # an improvement. candidate < dw: the max is dw; when dw is inf
-                # every candidate improves, and the test below would read
-                # inf - rel * inf, which is NaN. fl(dw - candidate) equals
-                # |fl(candidate - dw)|, since rounding is symmetric. A sum that
-                # overflows to inf against an unreached inf makes inf - inf,
-                # NaN: no tie, as before.
-                if candidate >= dw:
-                    if not candidate - dw <= rel * candidate:
-                        continue
-                elif dw == inf or candidate < dw - rel * dw:
-                    dist[w] = candidate
-                    sigma[w] = sigma_v
-                    preds[w] = v
-                    push(heap, (candidate, w))
-                    continue
-                elif dw - candidate > rel * dw:
-                    continue
-                sigma[w] += sigma_v
-                p = preds[w]
-                if p.__class__ is int:
-                    preds[w] = [p, v]
-                else:
-                    p.append(v)
+    weights = [float(size[v]) for v in core]  # the scalar loop indexes a list
+    weight = np.array(weights)
+    bc = np.zeros(m)
+    reach_in = np.zeros(m)
+    reach_out = np.zeros(m)
+    links = _core_links(core_adjacency)
+    batch = max(1, _BATCH_CELLS // m)
+    for first in range(0, m, batch):
+        sources = np.arange(first, min(first + batch, m))
+        rows, reached, tied = _tree_rows(sources, links, weight)
+        # Integer-valued weights: these sums are exact in any order.
+        reach_in += (reached * weight[sources, None]).sum(axis=0)
+        reach_out[sources] = (reached * weight).sum(axis=1)
+        for source, row, is_tied in zip(sources.tolist(), rows, tied.tolist()):
+            if is_tied:
+                delta, order = _brandes_source(source, core_adjacency, weights)
+                row = weight[source] * np.array(delta)
+                row[source] = 0.0
+                others = order[1:]
+                reach_in[others] += weight[source]
+                reach_out[source] = weight[others].sum()
+            # Source by source, in source order, like the scalar loop: once a
+            # tied source makes bc fractional, the order of its sums matters.
+            bc += row
 
-        # The source is settled first and has no predecessors, so the sweep
-        # stops short of it. A sole predecessor p of x set sigma[x] to
-        # sigma[p] and nothing added to it since, so sigma[p] / sigma[x] is
-        # exactly 1.0 and multiplying by it changes nothing: the term is
-        # added as it stands. A tied x keeps the ratio.
-        delta = [0.0] * m
-        source_weight = weight[source]
-        for x in order[:0:-1]:
-            p = preds[x]
-            flow = weight[x] + delta[x]
-            if p.__class__ is int:
-                delta[p] += flow
-            else:
-                sigma_x = sigma[x]
-                for v in p:
-                    delta[v] += sigma[v] / sigma_x * flow
-            bc[x] += source_weight * delta[x]
-            reach_in[x] += source_weight
-        # Integer-valued weights: the sum is exact in any order.
-        reach_out[source] = sum([weight[x] for x in order[1:]])
-
+    bc, reach_in, reach_out = bc.tolist(), reach_in.tolist(), reach_out.tolist()
     total = [0.0] * n
     root = list(range(n))
     for i, u in enumerate(core):
@@ -249,6 +225,207 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
             2 * (size[u] - size[v]) + reach_out[i] + reach_in[i]
         )
     return {nid: total[i] / n for i, nid in enumerate(ids)}
+
+
+# The core's links in CSR form: ``indptr``, heads, tails and lengths.
+_Links = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _core_links(core_adjacency: list[list[tuple[int, float]]]) -> _Links:
+    """The core's links in CSR form, in each node's link order."""
+    degree = [len(out) for out in core_adjacency]
+    indptr = np.zeros(len(core_adjacency) + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    heads = np.array([u for out in core_adjacency for u, _ in out], dtype=np.intp)
+    lengths = np.array([length for out in core_adjacency for _, length in out], dtype=float)
+    tails = np.repeat(np.arange(len(core_adjacency)), degree)
+    return indptr, heads, tails, lengths
+
+
+def _tree_rows(
+    sources: np.ndarray, links: _Links, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brandes' rows for a batch of sources, from trees found together.
+
+    Returns, one row per source: its bc row ``weight[s] * delta``, its mask
+    of reached nodes other than s, and whether it ties. A tied source's
+    rows are zero and left to the scalar loop.
+    """
+    m = len(weight)
+    tails = links[2]
+    dist, link = _shortest_path_links(sources, links)
+    tied = _ties(dist, link, links)
+    tree = link >= 0  # reached, other than the source
+    tree[tied] = False
+    child = np.flatnonzero(tree)
+    above = np.arange(tree.size)  # each cell's parent cell, a root's own
+    above[child] = child - child % m + tails[link.ravel()[child]]
+    del dist, link  # the subtree pass needs neither
+
+    # Distances rise strictly along the tree links of a tie-free source, so
+    # each is a tree. Hop depth by pointer jumping, then subtree weight sums
+    # level by level, children first: integer-valued, so exact in any order.
+    depth = tree.ravel().astype(np.intp)
+    up = above
+    while not (up[up] == up).all():
+        depth += depth[up]
+        up = up[up]
+    del up
+    subtree = np.tile(weight, len(sources))
+    order = np.argsort(depth)
+    ends = np.cumsum(np.bincount(depth))
+    for level in range(len(ends) - 1, 0, -1):
+        cells = order[ends[level - 1]:ends[level]]
+        np.add.at(subtree, above[cells], subtree[cells])
+    rows = subtree.reshape(tree.shape)
+    rows -= weight
+    rows *= weight[sources, None]
+    rows[~tree] = 0.0
+    return rows, tree, tied
+
+
+def _shortest_path_links(sources: np.ndarray, links: _Links) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from each source of a batch, and the CSR position of the
+    link that set each one (-1 at the source and where unreached).
+
+    Cell b * m + v is node v seen from the batch's b-th source. Label-
+    correcting rounds relax the links out of the cells that changed.
+    """
+    indptr, heads, _, lengths = links
+    m = len(indptr) - 1
+    degree = np.diff(indptr)
+    dist = np.full(len(sources) * m, np.inf)
+    link = np.full(len(sources) * m, -1, dtype=np.intp)
+    changed = np.zeros(len(sources) * m, dtype=bool)
+    frontier = np.arange(len(sources)) * m + sources
+    dist[frontier] = 0.0
+    while frontier.size:
+        node = frontier % m
+        deg = degree[node]
+        ends = np.cumsum(deg)
+        pos = np.repeat(indptr[node] + deg - ends, deg) + np.arange(ends[-1])
+        target = np.repeat(frontier - node, deg) + heads[pos]
+        candidate = np.repeat(dist[frontier], deg) + lengths[pos]
+        better = candidate < dist[target]
+        target, candidate, pos = target[better], candidate[better], pos[better]
+        # Of equal winners one link is kept; the tie screen flags the rest.
+        np.minimum.at(dist, target, candidate)
+        won = candidate == dist[target]
+        target = target[won]
+        link[target] = pos[won]
+        changed[target] = True
+        frontier = np.flatnonzero(changed)
+        changed[frontier] = False
+    return dist.reshape(-1, m), link.reshape(-1, m)
+
+
+def _ties(dist: np.ndarray, link: np.ndarray, links: _Links) -> np.ndarray:
+    """Which sources of a batch the tree path must leave to the scalar loop.
+
+    A source ties when a tree link's length is absorbed, leaving a node at
+    its parent's distance, or when a link other than a node's tree link
+    comes within ``_TIE_SCREEN_REL`` of the node's distance; a parallel
+    copy of a tree link is such a link. Unreached ends give inf - inf,
+    which compares false.
+    """
+    _, heads, tails, lengths = links
+    tied = np.zeros(len(dist), dtype=bool)
+    every = np.arange(len(heads))
+    step = max(1, _SCREEN_CELLS // max(1, len(heads)))
+    for first in range(0, len(dist), step):
+        rows = slice(first, first + step)
+        head_dist = dist[rows, heads]
+        slack = dist[rows, tails]
+        in_tree = link[rows, heads] == every
+        tie = in_tree & (slack == head_dist)
+        slack += lengths
+        with np.errstate(invalid="ignore"):
+            slack -= head_dist
+        head_dist *= _TIE_SCREEN_REL
+        tie |= ~in_tree & (slack <= head_dist)
+        tied[rows] = tie.any(axis=1)
+    return tied
+
+
+def _brandes_source(
+    source: int, core_adjacency: list[list[tuple[int, float]]], weight: list[float]
+) -> tuple[list[float], list[int]]:
+    """One source of node-weighted Brandes by Dijkstra, ties included.
+
+    Returns ``delta`` and the core nodes in the order they settle, the
+    source first; ``delta[x]`` is final for every reached x != source.
+    """
+    m = len(core_adjacency)
+    inf = float("inf")
+    rel = _TIE_REL_TOL
+    pop, push = heappop, heappush
+    dist = [inf] * m
+    sigma = [0.0] * m
+    # A node's predecessors: None before it is reached, the index of its
+    # sole predecessor while it has one, a list from its first tie on.
+    preds: list[int | list[int] | None] = [None] * m
+    settled = [False] * m
+    order: list[int] = []
+    dist[source] = 0.0
+    sigma[source] = 1.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        d, v = pop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        order.append(v)
+        sigma_v = sigma[v]
+        for w, length in core_adjacency[v]:
+            if settled[w]:
+                continue
+            candidate = d + length
+            dw = dist[w]
+            # The tie rule is |candidate - dw| <= rel * max(candidate, dw)
+            # and an improvement is candidate < dw - rel * max(candidate, dw),
+            # split by which side is larger so that each branch evaluates
+            # the same float expressions. candidate >= dw (dw finite):
+            # the max is candidate, and dw - rel * candidate <= dw rules out
+            # an improvement. candidate < dw: the max is dw; when dw is inf
+            # every candidate improves, and the test below would read
+            # inf - rel * inf, which is NaN. fl(dw - candidate) equals
+            # |fl(candidate - dw)|, since rounding is symmetric. A sum that
+            # overflows to inf against an unreached inf makes inf - inf,
+            # NaN: no tie, as before.
+            if candidate >= dw:
+                if not candidate - dw <= rel * candidate:
+                    continue
+            elif dw == inf or candidate < dw - rel * dw:
+                dist[w] = candidate
+                sigma[w] = sigma_v
+                preds[w] = v
+                push(heap, (candidate, w))
+                continue
+            elif dw - candidate > rel * dw:
+                continue
+            sigma[w] += sigma_v
+            p = preds[w]
+            if p.__class__ is int:
+                preds[w] = [p, v]
+            else:
+                p.append(v)
+
+    # The source is settled first and has no predecessors, so the sweep
+    # stops short of it. A sole predecessor p of x set sigma[x] to
+    # sigma[p] and nothing added to it since, so sigma[p] / sigma[x] is
+    # exactly 1.0 and multiplying by it changes nothing: the term is
+    # added as it stands. A tied x keeps the ratio.
+    delta = [0.0] * m
+    for x in order[:0:-1]:
+        p = preds[x]
+        flow = weight[x] + delta[x]
+        if p.__class__ is int:
+            delta[p] += flow
+        else:
+            sigma_x = sigma[x]
+            for v in p:
+                delta[v] += sigma[v] / sigma_x * flow
+    return delta, order
 
 
 def undirected_edge_lengths(city: CityNetwork) -> list[float]:

@@ -328,3 +328,10 @@ class TestElbow:
             elbow(self.blobs(), (3, 2), seed=0, restarts=1)
         with pytest.raises(ValidationError, match=r"got \(31, 40\)"):
             elbow(self.blobs(), (31, 40), seed=0, restarts=1)
+
+    @pytest.mark.parametrize("k_range", [range(1, 6), (1, 2, 3), [1, 3], (1.0, 3), (1,)])
+    def test_range_that_is_not_a_pair_of_ints(self, k_range):
+        # An iterable of k values, the old signature, is refused, not unpacked;
+        # a list [1, 3] is neither read as 1..3 nor as k in {1, 3}.
+        with pytest.raises(ValidationError, match=r"k range must be None or a pair \(A, B\) of ints, got "):
+            elbow(self.blobs(), k_range, seed=0, restarts=1)

@@ -7,7 +7,7 @@ import pytest
 
 from cityform.errors import EmptyCityError
 from cityform.graph import CityNetwork, RoadGraph
-from cityform.synth import ARCHETYPES, corpus_specs, generate
+from cityform.synth import ARCHETYPES, ArchetypeSpec, corpus_specs, generate
 from cityform.topology import (
     DEGREE_FEATURES,
     METRIC_COLUMNS,
@@ -149,8 +149,10 @@ class TestBetweenness:
         fast = betweenness(city)
         slow = brandes_oracle(city)
         assert list(fast) == list(slow)
+        # No shortest path ties here, so every core source takes the batch
+        # path; its core spans several batches.
         for nid in fast:
-            assert abs(fast[nid] - slow[nid]) <= 1e-12 * abs(slow[nid])
+            assert fast[nid] == slow[nid]
 
     def test_scaling_invariance(self):
         rng = random.Random(9)
@@ -260,6 +262,80 @@ def test_betweenness_near_tie_is_neither_tie_nor_improvement():
     assert result == {"s": 0.0, "a": 0.25, "b": 0.0, "w": 0.0}
     assert result == pytest.approx(brandes_oracle(city), abs=1e-12)
 
+
+
+# The tie screen sends a source to the scalar loop when another link comes
+# within 1e-9 of a node's distance. Each city below has sources that tie
+# and are checked against both oracles.
+
+
+def test_betweenness_with_equal_parallel_copies_on_a_core_cycle():
+    # A two-way ring of six nodes whose lengths sum to an odd 981 m, so the
+    # two ways round never tie, except that A->B runs as 3 equal copies and
+    # D->E as 5: a tree link's parallel copy ties, and a node reached over
+    # it counts 3 or 5 paths. Every source's tree but E's takes one of the
+    # two, so E alone stays on the batch path.
+    ring = "ABCDEF"
+    lengths = [110.0, 170.0, 130.0, 190.0, 150.0, 231.0]
+    nodes = {name: (float(i), 0.0) for i, name in enumerate(ring)}
+    links = []
+    for i, length in enumerate(lengths):
+        u, v = ring[i], ring[(i + 1) % 6]
+        copies = {"A": 3, "D": 5}.get(u, 1)
+        links += [(u, v, (), length)] * copies + [(v, u, (), length)]
+    city = make_city(nodes, links)
+    result = betweenness(city)
+    assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
+    assert result == brandes_oracle(city)
+
+
+def test_betweenness_on_an_integer_grid():
+    # Every source of a 5 x 5 grid with 100 m blocks ties.
+    city = make_grid_city(5, 5, 100.0)
+    result = betweenness(city)
+    assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
+    assert result == brandes_oracle(city)
+
+
+@pytest.mark.parametrize(
+    "block, links",
+    [({"n2_2", "n3_2", "n3_3", "n2_3"}, 8), ({"n2_2", "n3_2", "n4_2", "n2_3", "n3_3", "n4_3"}, 14)],
+    ids=["one-square", "two-squares"],
+)
+def test_betweenness_with_square_blocks_in_a_jittered_grid(block, links):
+    # A jittered grid with no dead ends whose block, or strip of two blocks,
+    # gets 100 m sides: opposite corners tie over its two halves (three
+    # ways across the strip), and so do the sources whose paths cross it
+    # corner to corner; about half the sources, so both batches mix tied
+    # and tie-free sources. Across the strip each way carries a third, so
+    # bc turns fractional and the order of its sums shows in the last bit.
+    # With no dead ends every weight is 1, and the scalar loop repeats the
+    # oracle's float operations in the oracle's order, ties included.
+    grid = generate(ArchetypeSpec("gridded", size=150, spacing=100.0, jitter=0.05, seed=3)).graph
+    squared = [
+        (link.from_node, link.to_node, (),
+         100.0 if {link.from_node, link.to_node} <= block else link.length_m)
+        for link in grid.links
+    ]
+    assert sum(length == 100.0 for *_, length in squared) == links
+    city = make_city({nid: (node.location.x, node.location.y) for nid, node in grid.nodes.items()}, squared)
+    result = betweenness(city)
+    assert list(result) == list(city.graph.nodes)
+    assert result == brandes_oracle(city)
+
+
+def test_parallel_copies_keep_the_scalar_loops_bits():
+    # One way S -> X -> Y -> Z -> W, with X -> Y as 5 equal copies: every
+    # path runs over one of them, so no fraction changes, but the scalar
+    # loop adds 1/5 of Y's flow of 3 five times, which makes X's bc
+    # 3.0000000000000004. A copy of a tree link sends its source to that
+    # loop, so X's value is the oracle's to the bit, not 3 / 5.
+    nodes = {name: (float(i), 0.0) for i, name in enumerate("SXYZW")}
+    links = [("S", "X")] + [("X", "Y")] * 5 + [("Y", "Z"), ("Z", "W")]
+    city = make_city(nodes, [(u, v, (), 100.0) for u, v in links])
+    result = betweenness(city)
+    assert result == brandes_oracle(city)
+    assert result["X"] == 0.6000000000000001
 
 class TestGeometricSummaries:
     def test_grid_3x3(self):
