@@ -73,11 +73,16 @@ COMMAND_ARTIFACTS = {
     "pipeline": PIPELINE_ARTIFACTS + ("run_manifest.json",),
 }
 
-# The city-count check of each artifact's stage: correlation, or factor extraction
-# for the cluster artifacts. Their z-score needs only 2 cities, so never refuses first.
-_CITY_MINIMA = {
-    "correlations.csv": check_correlation_cities,
-    **dict.fromkeys(COMMAND_ARTIFACTS["cluster"], check_factor_cities),
+# Each artifact's checks that need the city count, left to right in the order its
+# computation meets them. The z-score needs only 2 cities, so never refuses first.
+_CITY_CHECKS = {
+    "correlations.csv": lambda config, n: check_correlation_cities(n),
+    "factors.json": lambda config, n: check_factor_cities(n),
+    **dict.fromkeys(
+        ("clusters.csv", "evaluation.json"),
+        lambda config, n: (check_factor_cities(n), check_k(config.k, n)),
+    ),
+    "elbow.csv": lambda config, n: (check_factor_cities(n), check_k_range(config.k_range, n)),
 }
 
 
@@ -329,18 +334,12 @@ def run_pipeline(config: RunConfig, artifacts=COMMAND_ARTIFACTS["pipeline"]) -> 
     if unknown:
         raise ValidationError(f"unknown artifacts: {unknown}")
     run = _Run(config)
-    # The city count is known right after clipping: check what depends on
-    # it before any betweenness is computed.
+    # The city count is known right after clipping: check what depends on it before
+    # any betweenness, in writing order, so the first refusal is the run's own.
     n_cities = len(run.cities)
-    if {"clusters.csv", "evaluation.json"} & set(artifacts):
-        check_k(config.k, n_cities)
-    if "elbow.csv" in artifacts:
-        check_k_range(config.k_range, n_cities)
-    # Artifacts in writing order: the first to refuse is the one the run
-    # would reach after the betweenness.
     for name in artifacts:
-        if name in _CITY_MINIMA:
-            _CITY_MINIMA[name](n_cities)
+        if name in _CITY_CHECKS:
+            _CITY_CHECKS[name](config, n_cities)
     written = _write_files(config.out_dir, ((name, _CONTENTS[name](run)) for name in artifacts))
     return {"cities": n_cities, "artifacts": written}
 

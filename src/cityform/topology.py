@@ -158,14 +158,16 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
     every source's distances at once, and the link that set each one. From
     a source whose shortest paths are unique every sigma is 1, delta(x) is
     the sum of w over the nodes below x, an integer, and w(s) * delta(x) is an
-    exact integer float whatever the order of the sums: the floats of the
-    scalar Dijkstra loop (``_brandes_source``), bit for bit. The tie screen
-    (``_ties``) leaves a source to that loop when another link comes within
-    ``_TIE_SCREEN_REL`` (1e-9, 1000 times the tie tolerance) of a node's
-    distance, a parallel copy of its tree link included, or when a tree
-    link's length is absorbed. The rows go into bc one source at a time,
-    in source order, so once a tied source makes bc fractional its sums
-    keep the scalar loop's order.
+    exact integer float whatever the order of the sums: the floats of plain
+    weighted Brandes by Dijkstra (``_brandes_source``), bit for bit. The tie
+    screen (``_ties``) leaves a source's row to that loop when another link
+    comes within ``_TIE_SCREEN_REL`` (1e-9, 1000 times the tie tolerance)
+    of a node's distance, a parallel copy of its tree link included, or
+    when a tree link's length is absorbed. The rows go into bc one source at
+    a time, in source order, so once a tied source makes bc fractional its
+    sums keep the scalar loop's order. Which nodes a source reaches does not
+    depend on ties, so reach in and out come from the batch's distances for
+    every source, tied or not.
     """
     graph = city.graph
     n = _node_count(city)
@@ -200,12 +202,7 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
         reach_out[sources] = (reached * weight).sum(axis=1)
         for source, row, is_tied in zip(sources.tolist(), rows, tied.tolist()):
             if is_tied:
-                delta, order = _brandes_source(source, core_adjacency, weights)
-                row = weight[source] * np.array(delta)
-                row[source] = 0.0
-                others = order[1:]
-                reach_in[others] += weight[source]
-                reach_out[source] = weight[others].sum()
+                row = weight[source] * np.array(_brandes_source(source, core_adjacency, weights))
             # Source by source, in source order, like the scalar loop: once a
             # tied source makes bc fractional, the order of its sums matters.
             bc += row
@@ -248,15 +245,15 @@ def _tree_rows(
     """Brandes' rows for a batch of sources, from trees found together.
 
     Returns, one row per source: its bc row ``weight[s] * delta``, its mask
-    of reached nodes other than s, and whether it ties. A tied source's
-    rows are zero and left to the scalar loop.
+    of reached nodes other than s, and whether it ties. A tied source's bc
+    row is zero and left to ``_brandes_source``; its mask is whole.
     """
     m = len(weight)
     tails = links[2]
     dist, link = _shortest_path_links(sources, links)
     tied = _ties(dist, link, links)
-    tree = link >= 0  # reached, other than the source
-    tree[tied] = False
+    reached = link >= 0  # other than the source
+    tree = reached & ~tied[:, None]
     child = np.flatnonzero(tree)
     above = np.arange(tree.size)  # each cell's parent cell, a root's own
     above[child] = child - child % m + tails[link.ravel()[child]]
@@ -281,7 +278,7 @@ def _tree_rows(
     rows -= weight
     rows *= weight[sources, None]
     rows[~tree] = 0.0
-    return rows, tree, tied
+    return rows, reached, tied
 
 
 def _shortest_path_links(sources: np.ndarray, links: _Links) -> tuple[np.ndarray, np.ndarray]:
@@ -349,83 +346,48 @@ def _ties(dist: np.ndarray, link: np.ndarray, links: _Links) -> np.ndarray:
 
 def _brandes_source(
     source: int, core_adjacency: list[list[tuple[int, float]]], weight: list[float]
-) -> tuple[list[float], list[int]]:
+) -> list[float]:
     """One source of node-weighted Brandes by Dijkstra, ties included.
 
-    Returns ``delta`` and the core nodes in the order they settle, the
-    source first; ``delta[x]`` is final for every reached x != source.
+    Returns ``delta``, 0 at the source and at the nodes it does not reach.
     """
     m = len(core_adjacency)
     inf = float("inf")
-    rel = _TIE_REL_TOL
-    pop, push = heappop, heappush
     dist = [inf] * m
     sigma = [0.0] * m
-    # A node's predecessors: None before it is reached, the index of its
-    # sole predecessor while it has one, a list from its first tie on.
-    preds: list[int | list[int] | None] = [None] * m
+    preds: list[list[int]] = [[] for _ in range(m)]
     settled = [False] * m
     order: list[int] = []
     dist[source] = 0.0
     sigma[source] = 1.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
-        d, v = pop(heap)
+        d, v = heappop(heap)
         if settled[v]:
             continue
         settled[v] = True
         order.append(v)
-        sigma_v = sigma[v]
         for w, length in core_adjacency[v]:
             if settled[w]:
                 continue
             candidate = d + length
-            dw = dist[w]
-            # The tie rule is |candidate - dw| <= rel * max(candidate, dw)
-            # and an improvement is candidate < dw - rel * max(candidate, dw),
-            # split by which side is larger so that each branch evaluates
-            # the same float expressions. candidate >= dw (dw finite):
-            # the max is candidate, and dw - rel * candidate <= dw rules out
-            # an improvement. candidate < dw: the max is dw; when dw is inf
-            # every candidate improves, and the test below would read
-            # inf - rel * inf, which is NaN. fl(dw - candidate) equals
-            # |fl(candidate - dw)|, since rounding is symmetric. A sum that
-            # overflows to inf against an unreached inf makes inf - inf,
-            # NaN: no tie, as before.
-            if candidate >= dw:
-                if not candidate - dw <= rel * candidate:
-                    continue
-            elif dw == inf or candidate < dw - rel * dw:
+            tol = _TIE_REL_TOL * max(candidate, dist[w]) if dist[w] < inf else 0.0
+            if candidate < dist[w] - tol:
                 dist[w] = candidate
-                sigma[w] = sigma_v
-                preds[w] = v
-                push(heap, (candidate, w))
-                continue
-            elif dw - candidate > rel * dw:
-                continue
-            sigma[w] += sigma_v
-            p = preds[w]
-            if p.__class__ is int:
-                preds[w] = [p, v]
-            else:
-                p.append(v)
+                sigma[w] = sigma[v]
+                preds[w] = [v]
+                heappush(heap, (candidate, w))
+            elif abs(candidate - dist[w]) <= tol:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
 
-    # The source is settled first and has no predecessors, so the sweep
-    # stops short of it. A sole predecessor p of x set sigma[x] to
-    # sigma[p] and nothing added to it since, so sigma[p] / sigma[x] is
-    # exactly 1.0 and multiplying by it changes nothing: the term is
-    # added as it stands. A tied x keeps the ratio.
     delta = [0.0] * m
-    for x in order[:0:-1]:
-        p = preds[x]
+    for x in reversed(order):
         flow = weight[x] + delta[x]
-        if p.__class__ is int:
-            delta[p] += flow
-        else:
-            sigma_x = sigma[x]
-            for v in p:
-                delta[v] += sigma[v] / sigma_x * flow
-    return delta, order
+        for v in preds[x]:
+            delta[v] += sigma[v] / sigma[x] * flow
+    delta[source] = 0.0
+    return delta
 
 
 def undirected_edge_lengths(city: CityNetwork) -> list[float]:

@@ -33,7 +33,7 @@ from cityform.features import (
     pearson_report,
     zscore,
 )
-from cityform.geometry import pattern_counts
+from cityform.geometry import DEFAULT_TAU_DEG, pattern_counts
 from cityform.graph import clip_to_city, load_boundaries, load_graph
 from cityform.reduction import extract_factors
 from cityform.synth import ArchetypeSpec
@@ -409,6 +409,55 @@ class TestGeographicMode:
         assert not (tmp_path / "out").exists()
 
 
+    def test_geographic_run_agrees_with_planar_run(self, corpus, tmp_path):
+        # The corpus in lon/lat with blank lengths, each city mapped around
+        # its own centre, so lengths become haversine and areas spherical.
+        # Against the planar run, measured on this corpus: links differ by
+        # <= 6.6e-5 relative, mean link length, density and area by <= 3.4e-6,
+        # node angles by <= 0.0023 degrees, and no pattern type changes. The
+        # gap is the local scale, off by tan(latitude) * (metres north of the
+        # centre) / earth radius. The bounds are 3x those measurements.
+        root, _ = corpus
+        geo = geographic_copy(root, tmp_path / "geo")
+        runs = {}
+        for mode, where in (("planar", root), ("geo", geo)):
+            argv = io_args(where, tmp_path / mode)
+            argv[argv.index("--mode") + 1] = mode
+            for command in (["pipeline"], ["patterns", "--detail"], ["ingest"]):
+                assert main(command + argv) == 0
+            runs[mode] = tmp_path / mode
+        planar, geo_out = runs["planar"], runs["geo"]
+        assert (planar / "clusters.csv").read_bytes() == (geo_out / "clusters.csv").read_bytes()
+
+        lengths = {}
+        for mode, where in (("planar", root), ("geographic", geo)):
+            graph = load_graph(str(where / "nodes.csv"), str(where / "links.csv"), mode)
+            lengths[mode] = {link.id: link.length_m for link in graph.links}
+        assert lengths["planar"].keys() == lengths["geographic"].keys()
+        for link_id, length in lengths["planar"].items():
+            assert lengths["geographic"][link_id] == pytest.approx(length, rel=2e-4)
+        for artifact, columns in (
+            ("metrics.csv", ("mean_link_length_m", "density_km_per_km2")),
+            ("cities_summary.csv", ("area_km2",)),
+        ):
+            want, got = read_csv(planar / artifact), read_csv(geo_out / artifact)
+            for column in columns:
+                i = want[0].index(column)
+                for w, g in zip(want[1:], got[1:], strict=True):
+                    assert float(g[i]) == pytest.approx(float(w[i]), rel=1e-5), (w[0], column)
+
+        margin = 0.007  # degrees
+        edges = [90 - DEFAULT_TAU_DEG, 90 + DEFAULT_TAU_DEG, 180 - DEFAULT_TAU_DEG, 180 + DEFAULT_TAU_DEG]
+        want = read_csv(planar / "patterns_detail.csv")
+        got = read_csv(geo_out / "patterns_detail.csv")
+        assert [row[:3] for row in want] == [row[:3] for row in got]
+        for w, g in zip(want[1:], got[1:]):
+            angles = [float(a) for a in w[3].split(";") if a]
+            assert [float(a) for a in g[3].split(";") if a] == pytest.approx(angles, abs=margin)
+            if all(abs(a - edge) > margin for a in angles for edge in edges):
+                assert g[4] == w[4], w[1]
+
+
 class TestExitCodes:
     def test_tau_out_of_range_is_validation(self, corpus, tmp_path):
         root, _ = corpus
@@ -537,6 +586,7 @@ class TestRunner:
             (["features"], "correlation needs at least 3 cities", 1),
             (["pipeline", "--k", "1"], "correlation needs at least 3 cities", 1),
             (["pipeline", "--k", "2"], "correlation needs at least 3 cities", 2),
+            (["pipeline"], "correlation needs at least 3 cities", 2),
             (["cluster", "--k", "2"], "factor extraction needs at least 3 cities", 2),
             (["cluster", "--seed", "-1"], "seed must be >= 0, got -1", None),
         ],
@@ -545,7 +595,7 @@ class TestRunner:
             "drop-unknown-cluster", "drop-every-feature", "k-range-from-0", "reversed-k-range",
             "k-range-above-cities", "k-0", "restarts-0", "dominant-threshold-1",
             "features-on-1-city", "pipeline-on-1-city", "pipeline-on-2-cities",
-            "cluster-on-2-cities", "seed-negative",
+            "pipeline-k-3-on-2-cities", "cluster-on-2-cities", "seed-negative",
         ],
     )
     def test_bad_configuration_fails_before_betweenness(
@@ -619,7 +669,11 @@ class TestRunner:
 
     def test_artifacts_do_not_depend_on_hash_seed(self, corpus, tmp_path):
         root, _ = corpus
-        self.assert_artifacts_ignore("PYTHONHASHSEED", root, tmp_path)
+        self.assert_artifacts_ignore("PYTHONHASHSEED", root, tmp_path / "as-generated")
+        # With lengths rounded to 10 m, 97 of the corpus's 141 core sources
+        # have tied shortest paths, so betweenness runs its scalar fallback.
+        tied = corpus_copy(corpus, tmp_path, lengths_rounded(10.0))
+        self.assert_artifacts_ignore("PYTHONHASHSEED", tied, tmp_path / "tied")
 
     def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
         # From 26 cities up, eigh of the correlation matrix takes LAPACK's
@@ -938,6 +992,61 @@ def corpus_copy(corpus, tmp_path, edit):
     for name in ("nodes.csv", "links.csv", "boundaries.geojson"):
         (copy / name).write_bytes(edit(name, (root / name).read_bytes()))
     return copy
+
+
+def lengths_rounded(step):
+    """Round every link's ``length_m`` to a whole ``step`` metres."""
+    def edit(name, data):
+        if name != "links.csv":
+            return data
+        header, *rows = data.decode().splitlines()
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            cells[3] = repr(round(float(cells[3]) / step) * step)
+            rows[i] = ",".join(cells)
+        return "\n".join([header, *rows, ""]).encode()
+    return edit
+
+
+def geographic_copy(root, out):
+    """The corpus at ``root`` in lon/lat with blank lengths, written to ``out``.
+
+    Each city's boundary centre goes to its planar offset from (-122.27,
+    37.80), and its points to their metres east and north of that centre,
+    at the centre's scale. Node ids carry the city name before the colon.
+    """
+    per_degree = 111_319.490793  # metres in one degree of the WGS84 equator
+    doc = json.loads((root / "boundaries.geojson").read_text())
+    centres = {}
+    for item in doc["features"]:
+        xs, ys = zip(*item["geometry"]["coordinates"][0])
+        x, y = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+        lat = 37.80 + y / per_degree
+        lon = -122.27 + x / (per_degree * math.cos(math.radians(37.80)))
+        centres[item["properties"]["name"]] = (x, y, lon, lat)
+
+    def lonlat(city, x, y):
+        cx, cy, lon, lat = centres[city]
+        return lon + (x - cx) / (per_degree * math.cos(math.radians(lat))), lat + (y - cy) / per_degree
+
+    for item in doc["features"]:
+        name = item["properties"]["name"]
+        rings = item["geometry"]["coordinates"]
+        item["geometry"]["coordinates"] = [[lonlat(name, x, y) for x, y in ring] for ring in rings]
+    nodes = read_csv(root / "nodes.csv")
+    for row in nodes[1:]:
+        row[1:3] = lonlat(row[0].split(":")[0], float(row[1]), float(row[2]))
+    links = read_csv(root / "links.csv")
+    for row in links[1:]:
+        city = row[1].split(":")[0]
+        points = [lonlat(city, *map(float, p.split())) for p in row[4].split(";") if p]
+        row[3:5] = "", ";".join(f"{lon!r} {lat!r}" for lon, lat in points)
+    out.mkdir()
+    (out / "boundaries.geojson").write_text(json.dumps(doc))
+    for name, rows in (("nodes.csv", nodes), ("links.csv", links)):
+        with open(out / name, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    return out
 
 
 def first_vertex(raw):
