@@ -377,6 +377,13 @@ def _parse_float(raw: str, what: str, where: str) -> float:
     return value
 
 
+def _parse_id(raw: str, what: str, where: str) -> str:
+    value = raw.strip()
+    if not value:
+        raise DataError(f"{where}: blank {what}")
+    return value
+
+
 def _parse_shape_points(raw: str, where: str) -> tuple[GeoPoint, ...]:
     raw = raw.strip()
     if not raw:
@@ -433,12 +440,13 @@ def load_graph(nodes_file: str, links_file: str, mode: str) -> RoadGraph:
     nodes: list[RoadNode] = []
     for where, row in _csv_rows(nodes_file, NODES_HEADER):
         point = GeoPoint(_parse_float(row[1], "x", where), _parse_float(row[2], "y", where))
-        nodes.append(RoadNode(id=row[0].strip(), location=point))
+        nodes.append(RoadNode(id=_parse_id(row[0], "node_id", where), location=point))
 
     by_id = {node.id: node for node in nodes}
     links: list[RoadLink] = []
     for where, row in _csv_rows(links_file, LINKS_HEADER):
-        link_id, from_id, to_id = row[0].strip(), row[1].strip(), row[2].strip()
+        link_id = _parse_id(row[0], "link_id", where)
+        from_id, to_id = row[1].strip(), row[2].strip()
         for endpoint in (from_id, to_id):
             if endpoint not in by_id:
                 raise DataError(f"{where}: link {link_id!r} references missing node {endpoint!r}")
@@ -465,9 +473,11 @@ def load_boundaries(path: str) -> list[CityBoundary]:
     # A ValueError also covers non-UTF-8 bytes; a RecursionError, deep nesting.
     with _reading(path, "invalid JSON", (ValueError, RecursionError)) as handle:
         doc = json.load(handle)
-    features = doc.get("features", []) if isinstance(doc, dict) else None
+    features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a GeoJSON FeatureCollection")
+    if not features:
+        raise DataError(f"{path}: no boundary features")
     boundaries = []
     for idx, feature in enumerate(features):
         if not isinstance(feature, dict):

@@ -16,7 +16,6 @@ edge set in which opposing directed links between the same endpoints
 from __future__ import annotations
 
 import statistics
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -38,22 +37,18 @@ METRIC_COLUMNS = DEGREE_FEATURES + (
 # counting; keeps tie detection stable under float summation order.
 _TIE_REL_TOL = 1e-12
 
-# A source whose shortest-path tree has an alternative link within this
-# relative margin of a node's distance runs the scalar loop: 1000 times the
-# tie tolerance, so it also catches candidates that rounding puts just
-# outside it.
+# A source runs the scalar loop when a node has an alternative link within this
+# relative margin of its distance: 1000 times the tie tolerance, past rounding.
 _TIE_SCREEN_REL = 1e-9
 
 # The batch path runs max(1, _BATCH_CELLS // m) sources of an m-node core at
 # once, so that its arrays hold about this many (source, node) cells.
 _BATCH_CELLS = 16384
-# The tie screen takes a batch's sources in chunks of about this many
-# (source, link) cells: screening a whole batch at once added about 0.7 MB
-# to the benchmark's peak RSS.
+# The tie screen takes a batch's sources in chunks of about this many (source,
+# link) cells: screening a whole batch at once added 0.7 MB to peak RSS.
 _SCREEN_CELLS = 4096
 
-# Opposing directed links collapse into one street when their lengths agree
-# within this many meters.
+# Opposing links collapse into one street when their lengths agree within this many meters.
 _OPPOSING_LENGTH_TOL_M = 1.0
 
 
@@ -141,8 +136,8 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
     trees are stripped first (``_prune_trees``), and each core node u
     carries the w(u) nodes of the tree hanging at it. Node-weighted Brandes
     (Brandes 2008, "On variants of shortest-path betweenness centrality")
-    then runs from the core sources over the core graph: the Dijkstra tree
-    of source s accumulates delta(v) += sigma(v)/sigma(x) * (w(x) + delta(x))
+    then runs from the core sources over the core graph: the shortest-path
+    DAG of source s accumulates delta(v) += sigma(v)/sigma(x) * (w(x) + delta(x))
     and adds w(s) * delta(x) to each x != s. A tree member leaves its tree
     only through the root, along the one tree path, so the pairs with an
     end inside a tree add closed-form terms built from subtree sizes and
@@ -155,19 +150,12 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
 
     The sources run in batches of max(1, ``_BATCH_CELLS`` // m) over an
     m-node core (``_tree_rows``): label-correcting rounds in numpy find
-    every source's distances at once, and the link that set each one. From
-    a source whose shortest paths are unique every sigma is 1, delta(x) is
-    the sum of w over the nodes below x, an integer, and w(s) * delta(x) is an
-    exact integer float whatever the order of the sums: the floats of plain
-    weighted Brandes by Dijkstra (``_brandes_source``), bit for bit. The tie
-    screen (``_ties``) leaves a source's row to that loop when another link
-    comes within ``_TIE_SCREEN_REL`` (1e-9, 1000 times the tie tolerance)
-    of a node's distance, a parallel copy of its tree link included, or
-    when a tree link's length is absorbed. The rows go into bc one source at
-    a time, in source order, so once a tied source makes bc fractional its
-    sums keep the scalar loop's order. Which nodes a source reaches does not
-    depend on ties, so reach in and out come from the batch's distances for
-    every source, tied or not.
+    every source's distances at once, the one shortest-path search. From a
+    source whose shortest paths are unique every sigma is 1 and each
+    w(s) * delta(x) an exact integer float, so subtree sums give plain
+    Brandes' floats bit for bit. A source the tie screen (``_ties``) flags
+    runs the scalar counting loop (``_brandes_source``) in the batch's
+    distance order instead. The rows go into bc in source order.
     """
     graph = city.graph
     n = _node_count(city)
@@ -187,24 +175,19 @@ def betweenness(city: CityNetwork) -> dict[str, float]:
         for v in core
     ]
     m = len(core)
-    weights = [float(size[v]) for v in core]  # the scalar loop indexes a list
-    weight = np.array(weights)
-    bc = np.zeros(m)
-    reach_in = np.zeros(m)
-    reach_out = np.zeros(m)
+    weight = np.array([float(size[v]) for v in core])
+    bc, reach_in, reach_out = np.zeros((3, m))
     links = _core_links(core_adjacency)
     batch = max(1, _BATCH_CELLS // m)
     for first in range(0, m, batch):
         sources = np.arange(first, min(first + batch, m))
-        rows, reached, tied = _tree_rows(sources, links, weight)
-        # Integer-valued weights: these sums are exact in any order.
+        rows, reached = _tree_rows(sources, links, weight, core_adjacency)
+        # Ties do not change reach, and integer-valued weights sum exactly in any order.
         reach_in += (reached * weight[sources, None]).sum(axis=0)
         reach_out[sources] = (reached * weight).sum(axis=1)
-        for source, row, is_tied in zip(sources.tolist(), rows, tied.tolist()):
-            if is_tied:
-                row = weight[source] * np.array(_brandes_source(source, core_adjacency, weights))
-            # Source by source, in source order, like the scalar loop: once a
-            # tied source makes bc fractional, the order of its sums matters.
+        # Source by source, in source order, like the scalar loop: once a
+        # tied source makes bc fractional, the order of its sums matters.
+        for row in rows:
             bc += row
 
     bc, reach_in, reach_out = bc.tolist(), reach_in.tolist(), reach_out.tolist()
@@ -240,34 +223,29 @@ def _core_links(core_adjacency: list[list[tuple[int, float]]]) -> _Links:
 
 
 def _tree_rows(
-    sources: np.ndarray, links: _Links, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sources: np.ndarray, links: _Links, weight: np.ndarray,
+    core_adjacency: list[list[tuple[int, float]]],
+) -> tuple[np.ndarray, np.ndarray]:
     """Brandes' rows for a batch of sources, from trees found together.
 
-    Returns, one row per source: its bc row ``weight[s] * delta``, its mask
-    of reached nodes other than s, and whether it ties. A tied source's bc
-    row is zero and left to ``_brandes_source``; its mask is whole.
-    """
+    Returns, one row per source, its bc row ``weight[s] * delta`` and its
+    mask of reached nodes other than s. A tied source's bc row comes from
+    ``_brandes_source``, in the settle order of ``_settle_orders``."""
     m = len(weight)
-    tails = links[2]
     dist, link = _shortest_path_links(sources, links)
     tied = _ties(dist, link, links)
     reached = link >= 0  # other than the source
-    tree = reached & ~tied[:, None]
-    child = np.flatnonzero(tree)
-    above = np.arange(tree.size)  # each cell's parent cell, a root's own
-    above[child] = child - child % m + tails[link.ravel()[child]]
+    child = np.flatnonzero(reached)
+    above = np.arange(reached.size)  # each cell's parent cell, a root's own
+    above[child] = child - child % m + links[2][link.ravel()[child]]
+    orders = _settle_orders(dist, tied, above, links) if tied.any() else []
     del dist, link  # the subtree pass needs neither
 
     # Distances rise strictly along the tree links of a tie-free source, so
-    # each is a tree. Hop depth by pointer jumping, then subtree weight sums
-    # level by level, children first: integer-valued, so exact in any order.
-    depth = tree.ravel().astype(np.intp)
-    up = above
-    while not (up[up] == up).all():
-        depth += depth[up]
-        up = up[up]
-    del up
+    # subtree weight sums go level by level of hop depth, children first:
+    # integer-valued, so exact in any order.
+    tree = reached & ~tied[:, None]
+    depth = _hops(above, tree.ravel())
     subtree = np.tile(weight, len(sources))
     order = np.argsort(depth)
     ends = np.cumsum(np.bincount(depth))
@@ -278,7 +256,37 @@ def _tree_rows(
     rows -= weight
     rows *= weight[sources, None]
     rows[~tree] = 0.0
-    return rows, reached, tied
+    for b, settle in zip(np.flatnonzero(tied).tolist(), orders):
+        rows[b] = weight[sources[b]] * _brandes_source(settle, core_adjacency, weight.tolist())
+    return rows, reached
+
+
+def _hops(above: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The cells of ``step``, no root among them, on each cell's path up ``above``."""
+    hops = step.astype(np.intp)
+    while not (above[above] == above).all():
+        hops += hops[above]
+        above = above[above]
+    return hops
+
+
+def _settle_orders(
+    dist: np.ndarray, tied: np.ndarray, above: np.ndarray, links: _Links
+) -> list[list[int]]:
+    """Each tied source's reached nodes by distance, equal ones in node
+    order (a stable sort), as Dijkstra's (distance, node) heap pops them. A
+    node that no link from a nearer node reaches at its distance, only an
+    absorbed tree link, follows its tree parent, which has to push it first."""
+    cells = np.arange(dist.size)
+    late = (dist.ravel()[above] == dist.ravel()) & (above != cells)  # over an absorbed link
+    if late.any():  # and over no link from a nearer node
+        _, heads, tails, lengths = links
+        tail_dist, head_dist = dist[:, tails], dist[:, heads]
+        rows, entries = np.nonzero((tail_dist < head_dist) & (tail_dist + lengths == head_dist))
+        late[rows * dist.shape[1] + heads[entries]] = False
+    level = _hops(np.where(late, above, cells), late).reshape(dist.shape)
+    orders = np.lexsort((level[tied], dist[tied])).tolist()
+    return [order[:k] for order, k in zip(orders, np.isfinite(dist[tied]).sum(axis=1).tolist())]
 
 
 def _shortest_path_links(sources: np.ndarray, links: _Links) -> tuple[np.ndarray, np.ndarray]:
@@ -320,10 +328,9 @@ def _ties(dist: np.ndarray, link: np.ndarray, links: _Links) -> np.ndarray:
     """Which sources of a batch the tree path must leave to the scalar loop.
 
     A source ties when a tree link's length is absorbed, leaving a node at
-    its parent's distance, or when a link other than a node's tree link
-    comes within ``_TIE_SCREEN_REL`` of the node's distance; a parallel
-    copy of a tree link is such a link. Unreached ends give inf - inf,
-    which compares false.
+    its parent's distance, or when a link other than a node's tree link, a
+    parallel copy included, comes within ``_TIE_SCREEN_REL`` of the node's
+    distance. Unreached ends give inf - inf, which compares false.
     """
     _, heads, tails, lengths = links
     tied = np.zeros(len(dist), dtype=bool)
@@ -345,28 +352,22 @@ def _ties(dist: np.ndarray, link: np.ndarray, links: _Links) -> np.ndarray:
 
 
 def _brandes_source(
-    source: int, core_adjacency: list[list[tuple[int, float]]], weight: list[float]
-) -> list[float]:
-    """One source of node-weighted Brandes by Dijkstra, ties included.
-
-    Returns ``delta``, 0 at the source and at the nodes it does not reach.
-    """
+    order: list[int], core_adjacency: list[list[tuple[int, float]]], weight: list[float]
+) -> np.ndarray:
+    """One source of node-weighted Brandes, ties included, settling the nodes
+    it reaches in ``order``, the source first. Returns ``delta``, 0 at the
+    source and at the nodes it does not reach."""
     m = len(core_adjacency)
     inf = float("inf")
     dist = [inf] * m
     sigma = [0.0] * m
     preds: list[list[int]] = [[] for _ in range(m)]
     settled = [False] * m
-    order: list[int] = []
-    dist[source] = 0.0
-    sigma[source] = 1.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, v = heappop(heap)
-        if settled[v]:
-            continue
+    source = order[0]
+    dist[source], sigma[source] = 0.0, 1.0
+    for v in order:
         settled[v] = True
-        order.append(v)
+        d = dist[v]
         for w, length in core_adjacency[v]:
             if settled[w]:
                 continue
@@ -376,7 +377,6 @@ def _brandes_source(
                 dist[w] = candidate
                 sigma[w] = sigma[v]
                 preds[w] = [v]
-                heappush(heap, (candidate, w))
             elif abs(candidate - dist[w]) <= tol:
                 sigma[w] += sigma[v]
                 preds[w].append(v)
@@ -387,7 +387,7 @@ def _brandes_source(
         for v in preds[x]:
             delta[v] += sigma[v] / sigma[x] * flow
     delta[source] = 0.0
-    return delta
+    return np.array(delta)
 
 
 def undirected_edge_lengths(city: CityNetwork) -> list[float]:

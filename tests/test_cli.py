@@ -975,9 +975,13 @@ class TestBoundaryFaults:
                  f"feature 0 has a 'name' of type {type(name).__name__}")
                 for name in (False, True, {"a": 1}, [1])
             ),
+            # RFC 7946 requires the "features" member; an empty one names no city.
+            ({"type": "FeatureCollection"}, "b.geojson: expected a GeoJSON FeatureCollection"),
+            ({"type": "FeatureCollection", "features": []}, "b.geojson: no boundary features"),
         ],
         ids=["top-level-list", "non-object-feature", "missing-coordinates", "one-coordinate-vertex",
-             "false-name", "true-name", "object-name", "list-name"],
+             "false-name", "true-name", "object-name", "list-name", "no-features-member",
+             "empty-features"],
     )
     def test_malformed_geojson_is_data_error(self, corpus, tmp_path, capsys, doc, names):
         assert self.run_with_boundaries(corpus, tmp_path, doc) == 3
@@ -1120,6 +1124,9 @@ class TestInputFaults:
                 lambda name, data: data + data.split(b"\n")[1] + b"\n" if name == "links.csv" else data,
                 "duplicate link id: 'gridded_00:",
             ),
+            (appended("nodes.csv", b" ,0,0\n"), "blank node_id"),
+            (appended("links.csv", b",,gridded_00:n0_0,5,\n"), "blank link_id"),
+            (appended("links.csv", b"x,,gridded_00:n0_0,5,\n"), "link 'x' references missing node ''"),
         ],
         ids=[
             "nan-vertex", "1e400-vertex", "400-digit-vertex", "bool-vertex", "string-vertex",
@@ -1127,7 +1134,7 @@ class TestInputFaults:
             "0xff-nodes", "0xff-links",
             "0xff-geojson", "200k-char-field", "deeply-nested-geojson",
             "zero-area-boundary", "nan-node-x", "three-number-shape-point", "point-geometry",
-            "header-only-csvs", "repeated-link-row",
+            "header-only-csvs", "repeated-link-row", "blank-node-id", "blank-link-id", "blank-from",
         ],
     )
     def test_bad_input_is_data_error(self, corpus, tmp_path, capsys, edit, named):

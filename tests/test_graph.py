@@ -128,6 +128,12 @@ class TestLoadGraph:
         nodes, links = write_graph_files(tmp_path, ['"A', 'B",0,0', "C,zz,0"], [])
         with pytest.raises(DataError, match=r"nodes\.csv:4: cannot parse x"):
             load_graph(nodes, links, "planar")
+        nodes, links = write_graph_files(tmp_path, ["A,0,0", " ,1,0"], [])
+        with pytest.raises(DataError, match=r"nodes\.csv:3: blank node_id"):
+            load_graph(nodes, links, "planar")
+        nodes, links = write_graph_files(tmp_path, ["A,0,0", "B,1,0"], ["L1,A,B,5,", " ,B,A,5,"])
+        with pytest.raises(DataError, match=r"links\.csv:3: blank link_id"):
+            load_graph(nodes, links, "planar")
 
     def test_out_of_range_geographic_coordinate(self, tmp_path):
         nodes, links = write_graph_files(tmp_path, ["A,200,0"], [])

@@ -89,6 +89,10 @@ class TestDegreeProfile:
     def test_two_way_city_is_balanced(self):
         profile = degree_profile(make_grid_city(4, 4, 50.0))
         assert profile["pct_in_ne_out"] == 0.0
+        # One way east and north, only the 16 inner nodes and the corners
+        # at the ends of the other diagonal have as many links in as out.
+        profile = degree_profile(make_grid_city(6, 6, 100.0, two_way=False))
+        assert profile["pct_in_ne_out"] == 0.5
 
     def test_empty_city_error(self):
         empty = CityNetwork("void", RoadGraph([], [], "planar"), 1.0)
@@ -290,11 +294,33 @@ def test_betweenness_with_equal_parallel_copies_on_a_core_cycle():
 
 
 def test_betweenness_on_an_integer_grid():
-    # Every source of a 5 x 5 grid with 100 m blocks ties.
-    city = make_grid_city(5, 5, 100.0)
-    result = betweenness(city)
-    assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
-    assert result == brandes_oracle(city)
+    # Every source of a grid with 100 m blocks ties, two-way or one-way
+    # (links run east and north only). With no dead ends to prune, the
+    # scalar loop settles many nodes at each distance, in node order, so
+    # its sums keep the oracle's order.
+    for rows, cols, two_way in ((5, 5, True), (6, 6, False), (12, 9, False)):
+        city = make_grid_city(rows, cols, 100.0, two_way=two_way)
+        result = betweenness(city)
+        if rows < 10:
+            assert result == pytest.approx(brute_force_betweenness(city), abs=1e-9)
+        assert result == brandes_oracle(city)
+
+
+def test_betweenness_with_absorbed_link_lengths():
+    # v -> w is 1e-13 m long, under half an ulp of v's distance of 2e4 m
+    # from s, so w sits at v's distance. Where w is reached over v alone, the
+    # scalar loop settles it after v, though w comes first in node order.
+    # Where s -> a -> b -> w reaches w at that distance too, w settles first,
+    # as a (distance, node) heap pops it, so v is on none of its paths.
+    over_v = [("s", "a", 1e4), ("a", "v", 1e4), ("v", "w", 1e-13), ("w", "x", 5.0),
+              ("s", "b", 3e4), ("b", "x", 7.0)]
+    also_below = [("s", "v", 2e4), ("v", "w", 1e-13), ("s", "a", 5e3), ("a", "b", 5e3),
+                  ("b", "w", 1e4), ("w", "x", 5.0), ("v", "x", 9.0)]
+    for lengths in (over_v, also_below):
+        nodes = {name: (float(i), 0.0) for i, name in enumerate("wsavxb")}
+        city = make_city(nodes, [(u, v, (), length) for a, b, length in lengths
+                                 for u, v in ((a, b), (b, a))])
+        assert betweenness(city) == brandes_oracle(city)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +376,9 @@ class TestGeometricSummaries:
         summary = geometric_summaries(city)
         assert summary["mean_link_length_m"] == pytest.approx(150.0)
         assert summary["link_node_ratio"] == pytest.approx(0.5)
+        # A grid of one-way links, none opposed: all 60 stay unpaired.
+        grid = make_grid_city(6, 6, 100.0, two_way=False)
+        assert undirected_edge_lengths(grid) == [100.0] * 60
 
     def test_opposing_pair_collapses(self):
         city = make_city({"A": (0, 0), "B": (100, 0)}, [("A", "B"), ("B", "A")])
